@@ -71,9 +71,7 @@ from .operator import (
     TVConvLayer,
     WeightField,
     export_affinity,
-    freeze,
     generate_weights,
-    infer_cached,
     param_count_factorized,
     param_count_naive,
     reduction_ratio,
@@ -107,10 +105,8 @@ __all__ = [
     "default_model_spec",
     "evaluate",
     "export_affinity",
-    "freeze",
     "gen_layout_dataset",
     "generate_weights",
-    "infer_cached",
     "load_arch",
     "load_dataset",
     "load_model",

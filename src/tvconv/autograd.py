@@ -1,7 +1,9 @@
 """Reverse-mode differentiation over the shared numpy kernels.
 
 A forward pass builds a tape of Nodes; each op records its inputs plus the
-values its backward rule needs. backward() walks the tape once in reverse
+values its backward rule needs. Inside `no_tape()` the same ops compute the
+same values but record nothing, so an inference pass keeps no intermediate
+array alive beyond its use. backward() walks the tape once in reverse
 topological order, accumulating gradients across fan-out, and returns the
 gradient map for parameter leaves. Backward rules are looked up in a registry
 keyed by op name so an unknown op on the tape is a hard error rather than a
@@ -12,6 +14,7 @@ Batched layouts are [n, c, h, w] throughout.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,14 +27,32 @@ class GradError(RuntimeError):
     """Tape misuse: non-scalar loss or an op without a backward rule."""
 
 
+_recording = True
+
+
+@contextmanager
+def no_tape():
+    """Nodes built inside keep no parents and no saved values."""
+    global _recording
+    was, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = was
+
+
+def recording() -> bool:
+    return _recording
+
+
 class Node:
     __slots__ = ("op", "value", "parents", "saved", "grad", "name", "is_param")
 
     def __init__(self, op, value, parents=(), saved=None, name=None, is_param=False):
         self.op = op
         self.value = value
-        self.parents = tuple(parents)
-        self.saved = saved or {}
+        self.parents = tuple(parents) if _recording else ()
+        self.saved = (saved or {}) if _recording else {}
         self.grad = None
         self.name = name
         self.is_param = is_param
@@ -42,7 +63,7 @@ class Node:
 
 def leaf(value, name=None, param=False) -> Node:
     arr = np.asarray(value)
-    if arr.dtype not in (np.float32, np.float64):
+    if arr.dtype.char not in "fd":  # float32 or float64; a cheap test, run per leaf per call
         arr = arr.astype(np.float64)
     return Node("leaf", arr, (), name=name, is_param=param)
 
@@ -145,7 +166,10 @@ def _pool_mean_bwd(n, g):
 
 
 def subsample(x: Node, stride: int) -> Node:
-    return Node("subsample", x.value[:, :, ::stride, ::stride].copy(), (x,), {"s": stride})
+    # A strided view, not a copy: no op writes into a node's value, and a
+    # copy per call shifts the allocator's heap trimming enough to cost
+    # batch-128 inference measurable page faults.
+    return Node("subsample", x.value[:, :, ::stride, ::stride], (x,), {"s": stride})
 
 
 @_rule("subsample")

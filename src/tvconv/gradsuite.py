@@ -26,7 +26,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import backward, finite_diff_grad, grad_check
-from .operator import AffinityMaps, GeneratorParams, generate_weights
+from .operator import GeneratorParams, generator_field
 
 
 @dataclass
@@ -171,17 +171,7 @@ def _gen_tvconv_layer(rng):
         params[f"h{i}.gamma"] = rng.uniform(0.5, 1.5, hl.gamma.shape)
         params[f"h{i}.beta"] = rng.standard_normal(hl.beta.shape)
     params["out.w"] = gen.w_out
-
-    def build(nodes):
-        a = ag.reshape(nodes["affinity"], (1, c_a, h, w))
-        for i in range(depth):
-            a = ag.conv(a, nodes[f"h{i}.w"])
-            a = ag.layer_norm(a, nodes[f"h{i}.gamma"], nodes[f"h{i}.beta"], eps=gen.eps)
-            a = ag.relu(a)
-        wf = ag.reshape(ag.conv(a, nodes["out.w"]), (c * k * k, h, w))
-        return ag.tvconv(nodes["x"], wf, k=k)
-
-    return params, build
+    return params, lambda nodes: ag.tvconv(nodes["x"], generator_field(nodes, gen), k=k)
 
 
 GENERATORS = {

@@ -1,4 +1,4 @@
-"""Vectorized numpy kernels shared by the public ops and the autograd layer.
+"""Vectorized numpy kernels under the autograd ops and the operator module.
 
 All spatial kernels work on batched [n, c, h, w] arrays with zero "same"
 padding and odd square kernels. Convolutions accumulate one kernel tap at a
@@ -137,6 +137,10 @@ def layer_norm_bwd(g, xhat, inv_std, gamma):
 def downsample_mean(x: np.ndarray, oh: int, ow: int) -> np.ndarray:
     """Partition-mean pooling; partition i spans [i*h//oh, (i+1)*h//oh)."""
     n, c, h, w = x.shape
+    if oh < 1 or ow < 1:
+        raise ValueError(f"target size must be positive, got {oh}x{ow}")
+    if oh > h or ow > w:
+        raise ValueError(f"cannot downsample {h}x{w} to larger {oh}x{ow}")
     ri = np.array([i * h // oh for i in range(oh)])
     ci = np.array([j * w // ow for j in range(ow)])
     sums = np.add.reduceat(np.add.reduceat(x, ri, axis=2), ci, axis=3)

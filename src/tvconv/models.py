@@ -28,9 +28,10 @@ from pathlib import Path
 import numpy as np
 
 from . import autograd as ag
-from . import kernels, report
+from . import report
 from .costmodel import OpSpec, generator_macs, op_macs
-from .operator import GeneratorParams, HiddenLayer, TVConvLayer, init_affinity_from_stats
+from .operator import (GeneratorParams, HiddenLayer, TVConvLayer, generator_field,
+                       init_affinity_from_stats)
 from .seeding import rng_for
 from .tensor import Tensor, load_tensor, save_tensor
 
@@ -176,19 +177,13 @@ class LayoutModel:
                 for name, arr in self.params.items()}
 
     def _field_node(self, leaves, prefix: str, layer: TVConvLayer) -> ag.Node:
-        gen = layer.gen
-        g = ag.reshape(leaves[f"{prefix}.aff"],
-                       (1, gen.affinity_channels, layer.h, layer.w))
-        for l in range(gen.depth):
-            g = ag.conv(g, leaves[f"{prefix}.h{l}.w"])
-            g = ag.layer_norm(g, leaves[f"{prefix}.h{l}.gamma"],
-                              leaves[f"{prefix}.h{l}.beta"], gen.eps)
-            g = ag.relu(g)
-        g = ag.conv(g, leaves[f"{prefix}.out.w"])
-        rows = gen.channels * gen.k * gen.k
-        return ag.reshape(g, (rows, layer.h, layer.w))
+        nodes = {name: leaves[f"{prefix}.{name}"] for name, _ in layer.gen.arrays()}
+        nodes["affinity"] = leaves[f"{prefix}.aff"]
+        return generator_field(nodes, layer.gen)
 
     def forward(self, x: np.ndarray) -> tuple[ag.Node, dict[str, ag.Node]]:
+        """Logits node and parameter leaves. With recording off, a frozen
+        per-position layer serves its cached field instead of regenerating."""
         x = np.asarray(x, dtype=np.float64)
         spec = self.spec
         want = (spec.in_channels, spec.h, spec.w)
@@ -212,8 +207,11 @@ class LayoutModel:
                 if st.operator == "depthwise":
                     b = ag.dwconv(h, leaves[f"{p}.dw.w"])
                 else:
-                    field = self._field_node(leaves, f"{p}.tv",
-                                             self.tv_layers[f"{p}.tv"])
+                    layer = self.tv_layers[f"{p}.tv"]
+                    if layer.frozen and not ag.recording():
+                        field = ag.constant(layer.cached_field().values)
+                    else:
+                        field = self._field_node(leaves, f"{p}.tv", layer)
                     b = ag.tvconv(h, field, spec.k)
                 b = lnr(b, f"{p}.sp.ln")
                 b = ag.conv(b, leaves[f"{p}.pw.w"])
@@ -246,38 +244,10 @@ class LayoutModel:
         return self
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """Logits without building a tape; uses cached fields when frozen."""
-        if not self.frozen:
-            return self.logits_array(x)
-        x = np.asarray(x, dtype=np.float64)
-        spec = self.spec
-
-        def ln(a, prefix):
-            y, _, _ = kernels.layer_norm_fwd(a, self.params[f"{prefix}.g"],
-                                             self.params[f"{prefix}.b"], 1e-5)
-            return y
-
-        def lnr(a, prefix):
-            y = ln(a, prefix)
-            return y * (y > 0)
-
-        h = lnr(kernels.conv(x, self.params["stem.w"]), "stem.ln")
-        for i, st in enumerate(spec.stages):
-            if st.stride > 1:
-                h = h[:, :, ::st.stride, ::st.stride]
-            h = lnr(kernels.conv(h, self.params[f"s{i}.t.w"]), f"s{i}.t.ln")
-            for j in range(st.blocks):
-                p = f"s{i}.b{j}"
-                if st.operator == "depthwise":
-                    b = kernels.dwconv(h, self.params[f"{p}.dw.w"])
-                else:
-                    field = self.tv_layers[f"{p}.tv"].cached_field()
-                    b = kernels.tvconv(h, field.as5d())
-                b = lnr(b, f"{p}.sp.ln")
-                b = ln(kernels.conv(b, self.params[f"{p}.pw.w"]), f"{p}.pw.ln")
-                h = h + b
-        pooled = h.mean(axis=(2, 3))
-        return pooled @ self.params["head.w"] + self.params["head.b"]
+        """Logits from the forward walk with recording off; uses cached
+        fields when frozen."""
+        with ag.no_tape():
+            return self.forward(x)[0].value
 
 
 # --- analytic cost ------------------------------------------------------------

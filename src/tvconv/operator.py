@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import autograd as ag
 from . import kernels
 from .tensor import Tensor, save_tensor
 
@@ -166,6 +167,22 @@ class WeightField:
         return self.values.reshape(self.c, self.k, self.k, self.h, self.w)
 
 
+def generator_field(nodes: dict[str, ag.Node], gen: GeneratorParams) -> ag.Node:
+    """The generator as tape ops, returning the field node [c*k*k, h, w].
+
+    `nodes` maps "affinity" and every `gen.arrays()` name to a node; `gen`
+    supplies only the structure (depth, eps, c, k).
+    """
+    aff = nodes["affinity"]
+    c_a, h, w = aff.value.shape
+    a = ag.reshape(aff, (1, c_a, h, w))
+    for i in range(gen.depth):
+        a = ag.conv(a, nodes[f"h{i}.w"])
+        a = ag.layer_norm(a, nodes[f"h{i}.gamma"], nodes[f"h{i}.beta"], gen.eps)
+        a = ag.relu(a)
+    return ag.reshape(ag.conv(a, nodes["out.w"]), (gen.channels * gen.k * gen.k, h, w))
+
+
 def generate_weights(affinity: AffinityMaps, gen: GeneratorParams) -> WeightField:
     """Run the generator over the affinity maps and emit the weight field."""
     if affinity.channels != gen.affinity_channels:
@@ -173,13 +190,10 @@ def generate_weights(affinity: AffinityMaps, gen: GeneratorParams) -> WeightFiel
             f"affinity channels {affinity.channels} do not match "
             f"generator input {gen.affinity_channels}"
         )
-    a = affinity.values[None]  # [1, c_A, h, w]
-    for hl in gen.hidden:
-        a = kernels.conv(a, hl.w)
-        a, _, _ = kernels.layer_norm_fwd(a, hl.gamma, hl.beta, gen.eps)
-        a = a * (a > 0)
-    out = kernels.conv(a, gen.w_out)[0]
-    return WeightField(out, c=gen.channels, k=gen.k)
+    with ag.no_tape():
+        nodes = {name: ag.constant(arr) for name, arr in gen.arrays()}
+        nodes["affinity"] = ag.constant(affinity.values)
+        return WeightField(generator_field(nodes, gen).value, c=gen.channels, k=gen.k)
 
 
 def tvconv_apply(x: Tensor, wf: WeightField) -> Tensor:
@@ -362,14 +376,6 @@ class TVConvLayer:
 
     def infer_cached(self, x: Tensor) -> Tensor:
         return tvconv_apply(x, self.cached_field())
-
-
-def freeze(layer: TVConvLayer) -> TVConvLayer:
-    return layer.freeze()
-
-
-def infer_cached(layer: TVConvLayer, x: Tensor) -> Tensor:
-    return layer.infer_cached(x)
 
 
 # ------------------------------------------------------------- export

@@ -97,6 +97,35 @@ class TestBackwardContract:
         assert x in grads and c not in grads
 
 
+class TestNoTape:
+    def test_nodes_record_nothing(self):
+        x = ag.leaf(np.array([[-1.0, 2.0]]), param=True)
+        w = ag.leaf(np.ones((2, 1)), param=True)
+        b = ag.leaf(np.zeros(1), param=True)
+        with ag.no_tape():
+            y = ag.softmax_xent(ag.linear(ag.relu(x), w, b), np.array([0]))
+        assert y.parents == () and y.saved == {}
+        taped = ag.softmax_xent(ag.linear(ag.relu(x), w, b), np.array([0]))
+        assert taped.parents and taped.saved
+        assert y.value == taped.value
+
+    def test_recording_resumes_after_block(self):
+        x = ag.leaf(np.ones(2), param=True)
+        with ag.no_tape():
+            assert not ag.recording()
+        y = ag.relu(x)
+        assert ag.recording() and y.parents == (x,)
+
+    def test_recording_resumes_after_raise(self):
+        x = ag.leaf(np.ones(2), param=True)
+        with pytest.raises(ValueError):
+            with ag.no_tape():
+                ag.add(x, ag.leaf(np.ones(3)))
+        y = ag.relu(x)
+        assert ag.recording() and y.parents == (x,)
+        assert x in backward(ag.ssum(y))
+
+
 class TestOpGradients:
     """Each registered op against central differences on small instances."""
 

@@ -155,9 +155,17 @@ def test_freeze_preserves_logits():
     m = LayoutModel.create(tv_spec(), seed=2)
     x = np.random.default_rng(2).normal(size=(3, 1, 32, 32))
     before = m.logits_array(x)
+    assert np.array_equal(m.predict(x), before)
     m.freeze()
     after = m.predict(x)
     assert np.array_equal(before, after)
+
+
+@pytest.mark.parametrize("op", models.OPERATORS)
+def test_frozen_predict_rejects_wrong_shape(op):
+    m = LayoutModel.create(models.default_model_spec(op), seed=1).freeze()
+    with pytest.raises(ValueError, match="expected input"):
+        m.predict(np.zeros((2, 1, 16, 16)))
 
 
 def test_freeze_detects_mutation():

@@ -1,7 +1,7 @@
 """The per-position conv operator: generation, apply, degeneracy, caching.
 
 tvconv_apply is checked against a five-loop naive oracle; weight generation is
-checked against a straight-line composition of the single-sample ops; the
+checked against a straight-line composition of the batched kernels; the
 factorized form and the constant-affinity degeneracy get their own oracles.
 """
 
@@ -17,9 +17,7 @@ from tvconv.operator import (
     WeightField,
     export_affinity,
     factorized_weights,
-    freeze,
     generate_weights,
-    infer_cached,
     init_affinity_constant,
     init_affinity_from_stats,
     param_count_factorized,
@@ -28,7 +26,7 @@ from tvconv.operator import (
     tvconv_apply,
     tvconv_naive_oracle,
 )
-from tvconv import ops
+from tvconv import kernels
 from tvconv.tensor import Tensor, load_tensor
 
 
@@ -102,14 +100,13 @@ class TestGenerate:
             aff = AffinityMaps(rng.standard_normal((3, 6, 7)))
             wf = generate_weights(aff, gen)
 
-            a = Tensor(aff.values)
+            a = aff.values[None]
             for hl in gen.hidden:
-                a = ops.relu(
-                    ops.layer_norm(ops.conv2d(a, Tensor(hl.w)), Tensor(hl.gamma), Tensor(hl.beta))
-                )
-            ref = ops.conv2d(a, Tensor(gen.w_out))
+                a = kernels.layer_norm_fwd(kernels.conv(a, hl.w), hl.gamma, hl.beta, 1e-5)[0]
+                a = np.maximum(a, 0.0)
+            ref = kernels.conv(a, gen.w_out)[0]
             assert wf.values.shape == (2 * 9, 6, 7)
-            np.testing.assert_allclose(wf.values, ref.data, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(wf.values, ref, rtol=0, atol=1e-12)
 
     def test_channel_mismatch_rejected(self):
         gen = GeneratorParams.create(channels=2, k=3, affinity_channels=4, seed=0)
@@ -159,10 +156,10 @@ class TestDegeneracy:
             assert np.ptp(wf.values.reshape(c * k * k, -1), axis=1).max() < 1e-12
 
             x = Tensor(rng.standard_normal((c, 5, 6)))
-            static = Tensor(np.ascontiguousarray(wf.as5d()[:, :, :, 0, 0]))
+            static = np.ascontiguousarray(wf.as5d()[:, :, :, 0, 0])
             got = tvconv_apply(x, wf)
-            ref = ops.depthwise_conv2d(x, static)
-            np.testing.assert_allclose(got.data, ref.data, rtol=0, atol=1e-12)
+            ref = kernels.dwconv(x.data[None], static)[0]
+            np.testing.assert_allclose(got.data, ref, rtol=0, atol=1e-12)
 
     def test_k3_generator_constant_on_interior(self):
         # Zero-same padding contaminates a border ring of width
@@ -235,46 +232,46 @@ class TestLayerCache:
         rng = np.random.default_rng(12)
         xs = [Tensor(rng.standard_normal((2, 5, 5))) for _ in range(10)]
         eager = [tvconv_apply(x, layer.weights()) for x in xs]
-        freeze(layer)
+        layer.freeze()
         for x, e in zip(xs, eager):
-            got = infer_cached(layer, x)
+            got = layer.infer_cached(x)
             assert np.array_equal(got.data, e.data)
 
     def test_freeze_twice_rejected(self):
         layer = self.make_layer()
-        freeze(layer)
+        layer.freeze()
         with pytest.raises(StateError):
-            freeze(layer)
+            layer.freeze()
 
     def test_weights_in_frozen_mode_rejected(self):
         layer = self.make_layer()
-        freeze(layer)
+        layer.freeze()
         with pytest.raises(StateError, match="frozen"):
             layer.weights()
 
     def test_infer_cached_requires_freeze(self):
         layer = self.make_layer()
         with pytest.raises(StateError, match="training"):
-            infer_cached(layer, Tensor(np.ones((2, 5, 5))))
+            layer.infer_cached(Tensor(np.ones((2, 5, 5))))
 
     def test_stale_cache_detected(self):
         layer = self.make_layer()
-        freeze(layer)
+        layer.freeze()
         layer.affinity[0, 0, 0] += 1.0
         with pytest.raises(StaleCacheError):
-            infer_cached(layer, Tensor(np.ones((2, 5, 5))))
+            layer.infer_cached(Tensor(np.ones((2, 5, 5))))
 
     def test_generator_mutation_also_detected(self):
         layer = self.make_layer()
-        freeze(layer)
+        layer.freeze()
         layer.gen.w_out[0, 0, 0, 0] *= 2.0
         with pytest.raises(StaleCacheError):
-            infer_cached(layer, Tensor(np.ones((2, 5, 5))))
+            layer.infer_cached(Tensor(np.ones((2, 5, 5))))
 
     def test_cached_field_accessor(self):
         layer = self.make_layer()
         expected = layer.weights().values
-        freeze(layer)
+        layer.freeze()
         field = layer.cached_field()
         assert np.array_equal(field.values, expected)
         layer.affinity[0, 0, 0] += 1.0
