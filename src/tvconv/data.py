@@ -64,14 +64,6 @@ class Dataset:
     test_y: np.ndarray
     spec: LayoutDatasetSpec
 
-    def train_pairs(self):
-        for i in range(len(self.train_y)):
-            yield Tensor(self.train_x[i].copy()), int(self.train_y[i])
-
-    def test_pairs(self):
-        for i in range(len(self.test_y)):
-            yield Tensor(self.test_x[i].copy()), int(self.test_y[i])
-
 
 def default_assignments(grid: int, classes: int) -> tuple:
     """Class -> (cell, orientation), interior cells first and orientation
@@ -302,14 +294,7 @@ def _assignments_parse(text: str) -> tuple | None:
 def save_dataset(ds: Dataset, path) -> None:
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
-    spec = ds.spec
-    meta = {
-        "channels": spec.channels, "h": spec.h, "w": spec.w,
-        "grid": spec.grid, "classes": spec.classes,
-        "assignments": _assignments_text(spec.assignments),
-        "bg_amplitude": spec.bg_amplitude, "noise_std": spec.noise_std,
-        "n_train": spec.n_train, "n_test": spec.n_test, "seed": spec.seed,
-    }
+    meta = report.spec_kv(ds.spec, assignments=_assignments_text)
     (out / "meta.txt").write_text(report.format_kv(meta))
     stacked = np.concatenate([ds.train_x, ds.test_x])
     save_tensor(Tensor(stacked), out / "images.tvt")
@@ -319,18 +304,25 @@ def save_dataset(ds: Dataset, path) -> None:
 
 def load_dataset(path) -> Dataset:
     src = Path(path)
-    meta = report.parse_kv((src / "meta.txt").read_text(), str(src / "meta.txt"))
-    spec = LayoutDatasetSpec(
-        channels=int(meta["channels"]), h=int(meta["h"]), w=int(meta["w"]),
-        grid=int(meta["grid"]), classes=int(meta["classes"]),
-        assignments=_assignments_parse(meta["assignments"]),
-        bg_amplitude=float(meta["bg_amplitude"]),
-        noise_std=float(meta["noise_std"]),
-        n_train=int(meta["n_train"]), n_test=int(meta["n_test"]),
-        seed=int(meta["seed"]))
+    source = str(src / "meta.txt")
+    spec = report.spec_from_kv(
+        LayoutDatasetSpec, report.parse_kv((src / "meta.txt").read_text(), source),
+        source, assignments=_assignments_parse)
+    n = spec.n_train + spec.n_test
     images = load_tensor(src / "images.tvt").data
+    want = (n, spec.channels, spec.h, spec.w)
+    if images.shape != want:
+        raise ValueError(f"{src / 'images.tvt'}: shape {images.shape} does not "
+                         f"match the meta.txt shape {want}")
     labels = np.array([int(line) for line in
                        (src / "labels.txt").read_text().splitlines()],
                       dtype=np.int64)
+    if len(labels) != n:
+        raise ValueError(f"{src / 'labels.txt'}: {len(labels)} labels for "
+                         f"{n} images")
+    bad = labels[(labels < 0) | (labels >= spec.classes)]
+    if bad.size:
+        raise ValueError(f"{src / 'labels.txt'}: label {bad[0]} is outside "
+                         f"[0, {spec.classes})")
     nt = spec.n_train
     return Dataset(images[:nt], labels[:nt], images[nt:], labels[nt:], spec)

@@ -166,11 +166,12 @@ def _gen_tvconv_layer(rng):
     )
     params = {"affinity": rng.standard_normal((c_a, h, w)),
               "x": rng.standard_normal((1, c, h, w))}
-    for i, hl in enumerate(gen.hidden):
-        params[f"h{i}.w"] = hl.w
-        params[f"h{i}.gamma"] = rng.uniform(0.5, 1.5, hl.gamma.shape)
-        params[f"h{i}.beta"] = rng.standard_normal(hl.beta.shape)
-    params["out.w"] = gen.w_out
+    for name, arr in gen.arrays():
+        if name.endswith(".gamma"):
+            arr = rng.uniform(0.5, 1.5, arr.shape)
+        elif name.endswith(".beta"):
+            arr = rng.standard_normal(arr.shape)
+        params[name] = arr
     return params, lambda nodes: ag.tvconv(nodes["x"], generator_field(nodes, gen), k=k)
 
 

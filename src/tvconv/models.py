@@ -16,8 +16,9 @@ size at construction and carry a single-layer cache/freeze object so a
 trained model can serve frozen inference with staleness detection.
 
 Parameters live in one ordered name -> array dict. The arrays are shared
-(never copied) with the per-position layer objects and with the tape leaves
-built for each forward, so in-place SGD updates keep every view consistent.
+(never copied) with the per-position layer objects and with the tape leaves,
+which are bound once at construction, so in-place SGD updates keep every view
+consistent. `create` alone defines that layout; `load_model` fills it.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 from . import autograd as ag
 from . import report
 from .costmodel import OpSpec, generator_macs, op_macs
-from .operator import (GeneratorParams, HiddenLayer, TVConvLayer, generator_field,
+from .operator import (GeneratorParams, TVConvLayer, generator_field,
                        init_affinity_from_stats)
 from .seeding import rng_for
 from .tensor import Tensor, load_tensor, save_tensor
@@ -110,7 +111,8 @@ class LayoutModel:
         self.spec = spec
         self.params = params
         self.tv_layers = tv_layers
-        self.frozen = False
+        self.leaves = {name: ag.leaf(arr, name=name, param=True)
+                       for name, arr in params.items()}
 
     @classmethod
     def create(cls, spec: ModelSpec, seed: int = 0,
@@ -172,17 +174,13 @@ class LayoutModel:
 
     # --- tape forward -------------------------------------------------------
 
-    def _leaves(self) -> dict[str, ag.Node]:
-        return {name: ag.leaf(arr, name=name, param=True)
-                for name, arr in self.params.items()}
-
     def _field_node(self, leaves, prefix: str, layer: TVConvLayer) -> ag.Node:
         nodes = {name: leaves[f"{prefix}.{name}"] for name, _ in layer.gen.arrays()}
         nodes["affinity"] = leaves[f"{prefix}.aff"]
         return generator_field(nodes, layer.gen)
 
-    def forward(self, x: np.ndarray) -> tuple[ag.Node, dict[str, ag.Node]]:
-        """Logits node and parameter leaves. With recording off, a frozen
+    def forward(self, x: np.ndarray) -> ag.Node:
+        """Logits node over `self.leaves`. With recording off, a frozen
         per-position layer serves its cached field instead of regenerating."""
         x = np.asarray(x, dtype=np.float64)
         spec = self.spec
@@ -191,7 +189,7 @@ class LayoutModel:
             raise ValueError(
                 f"expected input [n, {want[0]}, {want[1]}, {want[2]}], "
                 f"got {x.shape}")
-        leaves = self._leaves()
+        leaves = self.leaves
 
         def lnr(node, prefix):
             return ag.relu(ag.layer_norm(node, leaves[f"{prefix}.g"],
@@ -218,21 +216,17 @@ class LayoutModel:
                 b = ag.layer_norm(b, leaves[f"{p}.pw.ln.g"],
                                   leaves[f"{p}.pw.ln.b"])
                 h = ag.add(h, b)
-        pooled = ag.pool_mean(h)
-        logits = ag.linear(pooled, leaves["head.w"], leaves["head.b"])
-        return logits, leaves
+        return ag.linear(ag.pool_mean(h), leaves["head.w"], leaves["head.b"])
 
     def logits_array(self, x: np.ndarray) -> np.ndarray:
-        return self.forward(x)[0].value
+        return self.forward(x).value
 
-    def loss(self, x: np.ndarray, y) -> tuple[ag.Node, dict[str, ag.Node]]:
-        logits, leaves = self.forward(x)
-        return ag.softmax_xent(logits, y), leaves
+    def loss(self, x: np.ndarray, y) -> ag.Node:
+        return ag.softmax_xent(self.forward(x), y)
 
     def weight_fields(self) -> dict[str, np.ndarray]:
         """Current generated field per per-position layer (tape values)."""
-        leaves = self._leaves()
-        return {name: self._field_node(leaves, name, layer).value
+        return {name: self._field_node(self.leaves, name, layer).value
                 for name, layer in self.tv_layers.items()}
 
     # --- frozen inference -----------------------------------------------------
@@ -240,14 +234,13 @@ class LayoutModel:
     def freeze(self) -> "LayoutModel":
         for layer in self.tv_layers.values():
             layer.freeze()
-        self.frozen = True
         return self
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Logits from the forward walk with recording off; uses cached
         fields when frozen."""
         with ag.no_tape():
-            return self.forward(x)[0].value
+            return self.forward(x).value
 
 
 # --- analytic cost ------------------------------------------------------------
@@ -308,66 +301,39 @@ def _stages_text(stages) -> str:
 
 
 def _stages_parse(text: str) -> tuple[StageSpec, ...]:
-    out = []
-    for part in text.split(";"):
-        c, b, op, s = part.split(":")
-        out.append(StageSpec(int(c), int(b), op, int(s)))
-    return tuple(out)
+    return tuple(StageSpec(int(c), int(b), op, int(s))
+                 for c, b, op, s in (part.split(":") for part in text.split(";")))
 
 
 def save_model(model: LayoutModel, path) -> None:
     out = Path(path)
     (out / "params").mkdir(parents=True, exist_ok=True)
-    spec = model.spec
-    manifest = {
-        "in_channels": spec.in_channels, "h": spec.h, "w": spec.w,
-        "classes": spec.classes, "stem_channels": spec.stem_channels,
-        "stages": _stages_text(spec.stages), "k": spec.k,
-        "affinity_channels": spec.affinity_channels,
-        "gen_depth": spec.gen_depth, "gen_width": spec.gen_width,
-        "gen_kernel": spec.gen_kernel, "affinity_init": spec.affinity_init,
-        "params": ",".join(model.params),
-    }
+    manifest = report.spec_kv(model.spec, stages=_stages_text)
+    manifest["params"] = ",".join(model.params)
     (out / "model.txt").write_text(report.format_kv(manifest))
     for name, arr in model.params.items():
         save_tensor(Tensor(arr), out / "params" / f"{name}.tvt")
 
 
-def _from_arrays(spec: ModelSpec, params: dict[str, np.ndarray]) -> LayoutModel:
-    """Rebind per-position layer objects onto existing parameter arrays."""
-    sizes = _stage_sizes(spec)
-    tv_layers: dict[str, TVConvLayer] = {}
-    for i, st in enumerate(spec.stages):
-        if st.operator != "tvconv":
-            continue
-        hi, wi = sizes[i]
-        for j in range(st.blocks):
-            p = f"s{i}.b{j}.tv"
-            hidden = [HiddenLayer(params[f"{p}.h{l}.w"],
-                                  params[f"{p}.h{l}.gamma"],
-                                  params[f"{p}.h{l}.beta"])
-                      for l in range(spec.gen_depth)]
-            gen = GeneratorParams(hidden, params[f"{p}.out.w"],
-                                  spec.gen_kernel, st.channels, spec.k)
-            tv_layers[p] = TVConvLayer(params[f"{p}.aff"], gen, hi, wi)
-    return LayoutModel(spec, params, tv_layers)
-
-
 def load_model(path) -> LayoutModel:
+    """Build the spec's skeleton with `create` and copy each saved array into
+    it in place, so the per-position layers keep aliasing the parameters."""
     src = Path(path)
-    manifest = report.parse_kv((src / "model.txt").read_text(),
-                               str(src / "model.txt"))
-    spec = ModelSpec(
-        in_channels=int(manifest["in_channels"]), h=int(manifest["h"]),
-        w=int(manifest["w"]), classes=int(manifest["classes"]),
-        stem_channels=int(manifest["stem_channels"]),
-        stages=_stages_parse(manifest["stages"]), k=int(manifest["k"]),
-        affinity_channels=int(manifest["affinity_channels"]),
-        gen_depth=int(manifest["gen_depth"]),
-        gen_width=int(manifest["gen_width"]),
-        gen_kernel=int(manifest["gen_kernel"]),
-        affinity_init=manifest["affinity_init"])
-    params = {}
-    for name in manifest["params"].split(","):
-        params[name] = load_tensor(src / "params" / f"{name}.tvt").data
-    return _from_arrays(spec, params)
+    source = str(src / "model.txt")
+    manifest = report.parse_kv((src / "model.txt").read_text(), source)
+    spec = report.spec_from_kv(ModelSpec, manifest, source, stages=_stages_parse)
+    model = LayoutModel.create(replace(spec, affinity_init="constant"))
+    model.spec = spec
+    names = manifest.get("params", "").split(",")
+    if names != list(model.params):
+        raise ValueError(f"{source}: params do not match the spec: missing "
+                         f"{[n for n in model.params if n not in names]}, "
+                         f"unexpected {[n for n in names if n not in model.params]}")
+    for name, arr in model.params.items():
+        file = src / "params" / f"{name}.tvt"
+        loaded = load_tensor(file).data
+        if loaded.shape != arr.shape:
+            raise ValueError(f"{file}: shape {loaded.shape} does not match "
+                             f"the spec's {arr.shape}")
+        arr[...] = loaded
+    return model

@@ -121,7 +121,7 @@ def train(model: LayoutModel, dataset, cfg: TrainConfig) -> TrainResult:
             if aug is not None:
                 xb, _ = data_mod.random_translations(
                     xb, cfg.augment_translate, aug)
-            loss_node, _ = model.loss(xb, yb)
+            loss_node = model.loss(xb, yb)
             loss = float(loss_node.value)
             if not np.isfinite(loss):
                 raise TrainingError(

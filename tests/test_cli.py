@@ -213,6 +213,21 @@ def test_eval_missing_checkpoint_diagnostic(tmp_path, capsys):
     assert code == 1 and "not found" in err
 
 
+def test_eval_checkpoint_missing_key_diagnostic(trained, tmp_path, capsys):
+    ckpt = tmp_path / "ckpt"
+    models.save_model(models.load_model(trained / "model"), ckpt)
+    manifest = ckpt / "model.txt"
+    manifest.write_text("".join(
+        line for line in manifest.read_text().splitlines(keepends=True)
+        if not line.startswith("gen_width=")))
+    code, out, err = run_cli(
+        ["eval", "--checkpoint", ckpt, "--data", trained / "dataset",
+         "--out", tmp_path], capsys)
+    assert code == 1
+    assert err.splitlines() == [
+        f"error: {ckpt / 'model.txt'}: missing key 'gen_width'"]
+
+
 # --- ablate -------------------------------------------------------------------
 
 

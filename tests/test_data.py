@@ -11,7 +11,7 @@ import pytest
 from tvconv import data
 from tvconv.data import AffineTransform, LayoutDatasetSpec
 from tvconv.seeding import rng_for, subseed
-from tvconv.tensor import Tensor
+from tvconv.tensor import Tensor, save_tensor
 
 
 # --- seed derivation ---------------------------------------------------------
@@ -151,14 +151,6 @@ def test_spec_validation():
         data.gen_layout_dataset(small_spec(noise_std=-0.1))
     with pytest.raises(ValueError, match="amplitude"):
         data.gen_layout_dataset(small_spec(bg_amplitude=-1.0))
-
-
-def test_pairs_iteration_yields_tensors():
-    ds = data.gen_layout_dataset(small_spec())
-    img, label = next(ds.train_pairs())
-    assert isinstance(img, Tensor)
-    assert img.dims == (1, 16, 16)
-    assert isinstance(label, int)
 
 
 # --- variance statistic ------------------------------------------------------
@@ -349,3 +341,30 @@ def test_save_is_idempotent(tmp_path):
     data.save_dataset(ds, out)
     second = {p.name: p.read_bytes() for p in out.iterdir()}
     assert first == second
+
+
+def test_load_rejects_label_count_mismatch(tmp_path):
+    spec = LayoutDatasetSpec(n_train=200, n_test=200)
+    data.save_dataset(data.gen_layout_dataset(spec), tmp_path)
+    labels = tmp_path / "labels.txt"
+    lines = labels.read_text().splitlines(keepends=True)
+    labels.write_text("".join(lines[:350]))  # 150 test labels for 200 images
+    with pytest.raises(ValueError, match=r"labels\.txt: 350 labels for 400 images"):
+        data.load_dataset(tmp_path)
+
+
+def test_load_rejects_label_out_of_range(tmp_path):
+    data.save_dataset(data.gen_layout_dataset(small_spec(classes=8)), tmp_path)
+    labels = tmp_path / "labels.txt"
+    lines = labels.read_text().splitlines(keepends=True)
+    lines[3] = "99\n"
+    labels.write_text("".join(lines))
+    with pytest.raises(ValueError, match=r"labels\.txt: label 99 is outside \[0, 8\)"):
+        data.load_dataset(tmp_path)
+
+
+def test_load_rejects_image_shape_mismatch(tmp_path):
+    data.save_dataset(data.gen_layout_dataset(small_spec()), tmp_path)
+    save_tensor(Tensor(np.zeros((24, 1, 8, 8))), tmp_path / "images.tvt")
+    with pytest.raises(ValueError, match=r"images\.tvt: shape \(24, 1, 8, 8\)"):
+        data.load_dataset(tmp_path)

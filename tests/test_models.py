@@ -1,14 +1,16 @@
 """Desk-scale network assembly: parameter naming/shapes, tape forward
 cross-checked against the single-layer operator module, hand-counted MAC
-totals, matched-budget twin construction, freeze consistency, and
-checkpoint round-trips."""
+totals, matched-budget twin construction, freeze consistency,
+checkpoint round-trips and the checks load_model makes at that boundary."""
 
 import numpy as np
 import pytest
 
-from tvconv import models, operator
+from tvconv import data, models, operator
 from tvconv.models import LayoutModel, ModelSpec, StageSpec
 from tvconv.operator import StaleCacheError
+from tvconv.report import KvError
+from tvconv.tensor import Tensor, save_tensor
 
 
 def dw_spec(**kw) -> ModelSpec:
@@ -210,6 +212,56 @@ def test_checkpoint_tv_layers_rebound(tmp_path):
     # the rebuilt layer must alias the loaded arrays, not copy them
     assert layer.affinity is back.params["s0.b0.tv.aff"]
     assert layer.gen.w_out is back.params["s0.b0.tv.out.w"]
+
+
+def test_load_rejects_wrong_param_shape(tmp_path):
+    models.save_model(LayoutModel.create(tv_spec(), seed=0), tmp_path)
+    save_tensor(Tensor(np.zeros((3, 3))), tmp_path / "params" / "head.w.tvt")
+    with pytest.raises(ValueError, match=r"head\.w\.tvt.*\(3, 3\).*\(16, 8\)"):
+        models.load_model(tmp_path)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda names: names.replace(",head.b", ""),
+    lambda names: names.replace("head.b", "head.bias"),
+], ids=["dropped", "renamed"])
+def test_load_rejects_params_list_mismatch(tmp_path, edit):
+    models.save_model(LayoutModel.create(tv_spec(), seed=0), tmp_path)
+    manifest = tmp_path / "model.txt"
+    lines = manifest.read_text().splitlines(keepends=True)
+    lines[-1] = edit(lines[-1])
+    manifest.write_text("".join(lines))
+    with pytest.raises(ValueError, match=r"params do not match.*missing \['head\.b'\]"):
+        models.load_model(tmp_path)
+
+
+def test_load_missing_manifest_key_names_file_and_key(tmp_path):
+    models.save_model(LayoutModel.create(tv_spec(), seed=0), tmp_path)
+    manifest = tmp_path / "model.txt"
+    manifest.write_text("".join(
+        line for line in manifest.read_text().splitlines(keepends=True)
+        if not line.startswith("gen_width=")))
+    with pytest.raises(KvError, match=r"model\.txt: missing key 'gen_width'"):
+        models.load_model(tmp_path)
+
+
+def test_on_disk_manifests_pinned(tmp_path):
+    models.save_model(LayoutModel.create(tv_spec(), seed=0), tmp_path / "m")
+    assert (tmp_path / "m" / "model.txt").read_text() == (
+        "in_channels=1\nh=32\nw=32\nclasses=8\nstem_channels=8\n"
+        "stages=8:1:tvconv:2;16:1:tvconv:2\nk=3\naffinity_channels=2\n"
+        "gen_depth=1\ngen_width=8\ngen_kernel=3\naffinity_init=constant\n"
+        "params=stem.w,stem.ln.g,stem.ln.b,s0.t.w,s0.t.ln.g,s0.t.ln.b,"
+        "s0.b0.tv.aff,s0.b0.tv.h0.w,s0.b0.tv.h0.gamma,s0.b0.tv.h0.beta,"
+        "s0.b0.tv.out.w,s0.b0.sp.ln.g,s0.b0.sp.ln.b,s0.b0.pw.w,s0.b0.pw.ln.g,"
+        "s0.b0.pw.ln.b,s1.t.w,s1.t.ln.g,s1.t.ln.b,s1.b0.tv.aff,s1.b0.tv.h0.w,"
+        "s1.b0.tv.h0.gamma,s1.b0.tv.h0.beta,s1.b0.tv.out.w,s1.b0.sp.ln.g,"
+        "s1.b0.sp.ln.b,s1.b0.pw.w,s1.b0.pw.ln.g,s1.b0.pw.ln.b,head.w,head.b\n")
+    data.save_dataset(data.gen_layout_dataset(data.LayoutDatasetSpec()),
+                      tmp_path / "d")
+    assert (tmp_path / "d" / "meta.txt").read_text() == (
+        "channels=1\nh=32\nw=32\ngrid=4\nclasses=8\nassignments=default\n"
+        "bg_amplitude=1.3\nnoise_std=0.05\nn_train=200\nn_test=200\nseed=0\n")
 
 
 def test_mixed_stage_operators():
