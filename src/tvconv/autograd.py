@@ -112,7 +112,9 @@ def conv(x: Node, w: Node) -> Node:
 @_rule("conv")
 def _conv_bwd(n, g):
     x, w = n.parents
-    return kernels.conv_dx(g, w.value), kernels.conv_dw(g, x.value, n.saved["k"])
+    # A non-parameter leaf input (the image) has no use for its gradient.
+    dx = None if x.op == "leaf" and not x.is_param else kernels.conv_dx(g, w.value)
+    return dx, kernels.conv_dw(g, x.value, n.saved["k"])
 
 
 def tvconv(x: Node, wf: Node, k: int) -> Node:
@@ -139,9 +141,7 @@ def layer_norm(x: Node, gamma: Node, beta: Node, eps: float = 1e-5) -> Node:
 
 @_rule("layer_norm")
 def _layer_norm_bwd(n, g):
-    gamma = n.parents[1].value
-    dx, dgamma, dbeta = kernels.layer_norm_bwd(g, n.saved["xhat"], n.saved["inv_std"], gamma)
-    return dx, dgamma, dbeta
+    return kernels.layer_norm_bwd(g, n.saved["xhat"], n.saved["inv_std"], n.parents[1].value)
 
 
 def linear(x: Node, w: Node, b: Node) -> Node:

@@ -151,8 +151,13 @@ def _model_spec(cfg: dict[str, str], ds: data.Dataset) -> models.ModelSpec:
     if op not in models.OPERATORS:
         raise CliError(f"key model.operator: unknown operator '{op}'")
     d = ds.spec
-    return _section(cfg, "model", models.default_model_spec(op),
+    spec = _section(cfg, "model", models.default_model_spec(op),
                     in_channels=d.channels, h=d.h, w=d.w, classes=d.classes)
+    other = {st.operator for st in spec.stages} - {op}
+    if "model.operator" in cfg and other:
+        raise CliError(f"key model.operator: '{op}' disagrees with key model.stages, "
+                       f"which uses '{min(other)}'")
+    return spec
 
 
 def _train_config(cfg: dict[str, str]) -> training.TrainConfig:

@@ -1,15 +1,18 @@
 """Vectorized numpy kernels under the autograd ops and the operator module.
 
 All spatial kernels work on batched [n, c, h, w] arrays with zero "same"
-padding and odd square kernels. Convolutions accumulate one kernel tap at a
-time in row-major (u, v) order; every variant therefore reduces in the same
-order, which keeps the depthwise / dense / per-position paths bit-compatible
-where they coincide (single channel, constant weight field).
+padding and odd square kernels. Depthwise and per-position convs add one
+kernel tap at a time in row-major (u, v) order; the dense conv and its two
+gradients are one GEMM each over an im2col matrix. The bit-exact contracts
+hold by sharing a path: a single-channel dense conv runs `dwconv`, and a
+weight field that is constant over positions makes `tvconv` add the same
+taps in the same order as `dwconv`.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def pad_same(x: np.ndarray, k: int) -> np.ndarray:
@@ -46,18 +49,20 @@ def dwconv_dw(g: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
     return dw
 
 
+def _im2col(x: np.ndarray, k: int) -> np.ndarray:
+    """[n, ci, h, w] -> [n, ci*k*k, h*w]; row (c, u, v) holds tap (u, v) of channel c."""
+    n, ci, h, w = x.shape
+    taps = sliding_window_view(pad_same(x, k), (k, k), axis=(2, 3))  # [n, ci, h, w, k, k]
+    return taps.transpose(0, 1, 4, 5, 2, 3).reshape(n, ci * k * k, h * w)
+
+
 def conv(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Dense conv: x [n,ci,h,w], w [co,ci,k,k] -> [n,co,h,w]."""
+    """Dense conv: x [n,ci,h,w], w [co,ci,k,k] -> [n,co,h,w], as one GEMM."""
     n, ci, h, ww = x.shape
     co, _, k, _ = w.shape
-    xp = pad_same(x, k)
-    out = np.zeros((n, co, h, ww), dtype=x.dtype)
-    for u in range(k):
-        for v in range(k):
-            out += np.einsum(
-                "oi,nihw->nohw", w[:, :, u, v], xp[:, :, u : u + h, v : v + ww], optimize=True
-            )
-    return out
+    if ci == co == 1:
+        return dwconv(x, w[0])
+    return np.matmul(w.reshape(co, -1), _im2col(x, k)).reshape(n, co, h, ww)
 
 
 def conv_dx(g: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -66,16 +71,10 @@ def conv_dx(g: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def conv_dw(g: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
-    n, ci, h, ww = x.shape
-    co = g.shape[1]
-    xp = pad_same(x, k)
-    dw = np.zeros((co, ci, k, k), dtype=x.dtype)
-    for u in range(k):
-        for v in range(k):
-            dw[:, :, u, v] = np.einsum(
-                "nohw,nihw->oi", g, xp[:, :, u : u + h, v : v + ww], optimize=True
-            )
-    return dw
+    # Per-sample GEMMs summed over n; a tensordot over (n, h*w) copies both operands.
+    n, co = g.shape[:2]
+    dw = np.matmul(g.reshape(n, co, -1), _im2col(x, k).transpose(0, 2, 1)).sum(axis=0)
+    return dw.reshape(co, x.shape[1], k, k)
 
 
 def tvconv(x: np.ndarray, w5: np.ndarray) -> np.ndarray:
@@ -116,21 +115,23 @@ def layer_norm_fwd(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: floa
 
     Returns (y, xhat, inv_std); the extras feed the backward rule.
     """
-    mu = x.mean(axis=(1, 2, 3), keepdims=True)
-    var = x.var(axis=(1, 2, 3), keepdims=True)
+    xhat = x - x.mean(axis=(1, 2, 3), keepdims=True)
+    flat = xhat.reshape(len(x), -1)
+    var = np.einsum("ij,ij->i", flat, flat)[:, None, None, None] / flat.shape[1]
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv_std
-    y = gamma[:, None, None] * xhat + beta[:, None, None]
+    xhat *= inv_std
+    y = xhat * gamma[:, None, None] + beta[:, None, None]
     return y, xhat, inv_std
 
 
 def layer_norm_bwd(g, xhat, inv_std, gamma):
     dgamma = np.einsum("nchw,nchw->c", g, xhat)
     dbeta = g.sum(axis=(0, 2, 3))
-    dxhat = g * gamma[:, None, None]
-    m1 = dxhat.mean(axis=(1, 2, 3), keepdims=True)
-    m2 = (dxhat * xhat).mean(axis=(1, 2, 3), keepdims=True)
-    dx = inv_std * (dxhat - m1 - xhat * m2)
+    dx = g * gamma[:, None, None]
+    flat, xflat = dx.reshape(len(g), -1), xhat.reshape(len(g), -1)
+    m2 = np.einsum("ij,ij->i", flat, xflat)[:, None, None, None] / flat.shape[1]
+    dx -= xhat * m2 + flat.mean(axis=1)[:, None, None, None]
+    dx *= inv_std
     return dx, dgamma, dbeta
 
 

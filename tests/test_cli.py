@@ -255,6 +255,9 @@ def test_spec_from_kv_reads_false_bool():
       "--set", "model.k=4"], "k must be odd"),
     (["train", *TINY_DATA, "--set", "model.gen_depth=-1"], "gen_depth"),
     (["train", *TINY_DATA, "--set", "model.stem=0"], "stem_channels"),
+    (["train", *TINY_DATA, "--set", "model.operator=depthwise",
+      "--set", "model.stages=4:1:tvconv:2"],
+     "model.operator: 'depthwise' disagrees with key model.stages"),
     (["train", *TINY_DATA, "--set", "train.epochs=0"], "train.epochs"),
     (["train", *TINY_DATA, "--set", "train.decay_affinity=yes"],
      "train.decay_affinity"),
@@ -263,7 +266,8 @@ def test_spec_from_kv_reads_false_bool():
     (["ablate", "init", *TINY_DATA, "--set", "seeds="], "seed"),
     (["ablate", "generator", *TINY_DATA, "--set", "grid=1,8"], "grid"),
 ], ids=["grid", "classes", "stride", "affinity_channels", "even_k",
-        "gen_depth", "stem", "epochs", "bool", "instances", "eps", "seeds", "grid3"])
+        "gen_depth", "stem", "operator_vs_stages", "epochs", "bool", "instances",
+        "eps", "seeds", "grid3"])
 def test_bad_value_is_one_error_line(args, names, tmp_path, capsys):
     code, out, err = run_cli([*args, "--out", tmp_path], capsys)
     assert code == 1

@@ -1,0 +1,172 @@
+"""Property tests of the dense conv and layer norm kernels.
+
+`conv`, `conv_dx` and `conv_dw` run as one GEMM each and layer norm takes its
+moments in one pass; the references here compute every output position as an
+explicit window sum (or scatter, for the input gradient) and the moments in
+two passes per sample. Shapes, kernel sizes and dtypes are drawn; the cases
+the GEMM layout is most likely to get wrong (1×N and N×1 maps, k = 5 wider
+than the map, ci ≠ co, batch > 1, float32) are pinned as explicit examples.
+"""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from tvconv import kernels  # noqa: E402
+
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
+DIMS = dict(n=st.integers(1, 3), ci=st.integers(1, 4), co=st.integers(1, 4),
+            h=st.integers(1, 6), w=st.integers(1, 6), k=st.sampled_from([1, 3, 5]),
+            dtype=st.sampled_from([np.float64, np.float32]),
+            seed=st.integers(0, 2**32 - 1))
+EXAMPLES = [
+    dict(n=2, ci=2, co=3, h=1, w=6, k=5, dtype=np.float64, seed=1),
+    dict(n=3, ci=3, co=1, h=6, w=1, k=3, dtype=np.float64, seed=2),
+    dict(n=2, ci=1, co=4, h=5, w=4, k=1, dtype=np.float32, seed=3),
+    dict(n=1, ci=1, co=1, h=1, w=1, k=5, dtype=np.float32, seed=4),
+]
+
+
+def tol(dtype):
+    return 1e-12 if dtype == np.float64 else 1e-4
+
+
+def prop(test):
+    """Run `test` on drawn shapes plus every pinned example."""
+    for ex in EXAMPLES:
+        test = example(**ex)(test)
+    return SETTINGS(given(**DIMS)(test))
+
+
+def arrays(n, ci, co, h, w, k, dtype, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, ci, h, w)).astype(dtype)
+    wt = rng.standard_normal((co, ci, k, k)).astype(dtype)
+    g = rng.standard_normal((n, co, h, w)).astype(dtype)
+    return x, wt, g
+
+
+def padded(x, k):
+    r = k // 2
+    return np.pad(x.astype(np.float64), ((0, 0), (0, 0), (r, r), (r, r)))
+
+
+def conv_ref(x, w):
+    n, _, h, ww = x.shape
+    k = w.shape[-1]
+    xp = padded(x, k)
+    out = np.zeros((n, w.shape[0], h, ww))
+    for i in range(h):
+        for j in range(ww):
+            out[:, :, i, j] = np.einsum("nikl,oikl->no", xp[:, :, i:i + k, j:j + k], w)
+    return out
+
+
+def conv_dx_ref(g, w):
+    """Scatter each output position's gradient back onto its window."""
+    n, _, h, ww = g.shape
+    k = w.shape[-1]
+    r = k // 2
+    dxp = np.zeros((n, w.shape[1], h + 2 * r, ww + 2 * r))
+    for i in range(h):
+        for j in range(ww):
+            dxp[:, :, i:i + k, j:j + k] += np.einsum("no,oikl->nikl", g[:, :, i, j], w)
+    return dxp[:, :, r:r + h, r:r + ww]
+
+
+def conv_dw_ref(g, x, k):
+    _, _, h, ww = x.shape
+    xp = padded(x, k)
+    dw = np.zeros((g.shape[1], x.shape[1], k, k))
+    for i in range(h):
+        for j in range(ww):
+            dw += np.einsum("no,nikl->oikl", g[:, :, i, j], xp[:, :, i:i + k, j:j + k])
+    return dw
+
+
+@prop
+def test_conv_matches_window_sums(n, ci, co, h, w, k, dtype, seed):
+    x, wt, _ = arrays(n, ci, co, h, w, k, dtype, seed)
+    got = kernels.conv(x, wt)
+    assert got.dtype == dtype and got.shape == (n, co, h, w)
+    np.testing.assert_allclose(got, conv_ref(x, wt), rtol=0, atol=tol(dtype))
+
+
+@prop
+def test_conv_dx_matches_scatter(n, ci, co, h, w, k, dtype, seed):
+    _, wt, g = arrays(n, ci, co, h, w, k, dtype, seed)
+    got = kernels.conv_dx(g, wt)
+    assert got.dtype == dtype and got.shape == (n, ci, h, w)
+    np.testing.assert_allclose(got, conv_dx_ref(g, wt), rtol=0, atol=tol(dtype))
+
+
+@prop
+def test_conv_dw_matches_window_sums(n, ci, co, h, w, k, dtype, seed):
+    x, _, g = arrays(n, ci, co, h, w, k, dtype, seed)
+    got = kernels.conv_dw(g, x, k)
+    assert got.dtype == dtype and got.shape == (co, ci, k, k)
+    np.testing.assert_allclose(got, conv_dw_ref(g, x, k), rtol=0, atol=tol(dtype))
+
+
+def ln_arrays(n, c, h, w, dtype, seed):
+    rng = np.random.default_rng(seed)
+    x = (rng.standard_normal((n, c, h, w)) * 3 + 1).astype(dtype)
+    gamma = rng.uniform(0.5, 1.5, c).astype(dtype)
+    beta = rng.standard_normal(c).astype(dtype)
+    g = rng.standard_normal((n, c, h, w)).astype(dtype)
+    return x, gamma, beta, g
+
+
+def ln_ref(x, gamma, beta, eps):
+    """Mean, then the mean squared deviation from it, one sample at a time."""
+    x = x.astype(np.float64)
+    xhat = np.empty_like(x)
+    inv_std = np.empty((x.shape[0], 1, 1, 1))
+    for s in range(x.shape[0]):
+        mu = x[s].sum() / x[s].size
+        var = ((x[s] - mu) ** 2).sum() / x[s].size
+        inv_std[s] = 1.0 / np.sqrt(var + eps)
+        xhat[s] = (x[s] - mu) * inv_std[s]
+    return gamma[:, None, None] * xhat + beta[:, None, None], xhat, inv_std
+
+
+def ln_bwd_ref(g, xhat, inv_std, gamma):
+    dx = np.empty_like(xhat)
+    for s in range(g.shape[0]):
+        dxhat = g[s] * gamma[:, None, None]
+        dx[s] = inv_std[s] * (dxhat - dxhat.mean() - xhat[s] * (dxhat * xhat[s]).mean())
+    return dx, (g * xhat).sum(axis=(0, 2, 3)), g.sum(axis=(0, 2, 3))
+
+
+LN_DIMS = dict(n=DIMS["n"], c=DIMS["ci"], h=DIMS["h"], w=DIMS["w"],
+               dtype=DIMS["dtype"], seed=DIMS["seed"])
+
+
+@SETTINGS
+@given(**LN_DIMS)
+@example(n=2, c=3, h=1, w=6, dtype=np.float64, seed=5)
+@example(n=3, c=2, h=6, w=1, dtype=np.float32, seed=6)
+def test_layer_norm_fwd_matches_two_pass(n, c, h, w, dtype, seed):
+    x, gamma, beta, _ = ln_arrays(n, c, h, w, dtype, seed)
+    got = kernels.layer_norm_fwd(x, gamma, beta, 1e-5)
+    for a, b in zip(got, ln_ref(x, gamma, beta, 1e-5)):
+        assert a.dtype == dtype
+        np.testing.assert_allclose(a, b, rtol=0, atol=tol(dtype))
+
+
+@SETTINGS
+@given(**LN_DIMS)
+@example(n=2, c=3, h=1, w=6, dtype=np.float64, seed=7)
+@example(n=3, c=2, h=6, w=1, dtype=np.float32, seed=8)
+def test_layer_norm_bwd_matches_two_pass(n, c, h, w, dtype, seed):
+    x, gamma, beta, g = ln_arrays(n, c, h, w, dtype, seed)
+    _, xhat, inv_std = kernels.layer_norm_fwd(x, gamma, beta, 1e-5)
+    got = kernels.layer_norm_bwd(g, xhat, inv_std, gamma)
+    want = ln_bwd_ref(g.astype(np.float64), xhat.astype(np.float64),
+                      inv_std.astype(np.float64), gamma.astype(np.float64))
+    for a, b in zip(got, want):
+        assert a.dtype == dtype
+        np.testing.assert_allclose(a, b, rtol=0, atol=tol(dtype))

@@ -6,7 +6,8 @@ checkpoint round-trips and the checks load_model makes at that boundary."""
 import numpy as np
 import pytest
 
-from tvconv import data, models, operator
+from tvconv import autograd as ag
+from tvconv import data, kernels, models, operator
 from tvconv.models import LayoutModel, ModelSpec, StageSpec
 from tvconv.operator import StaleCacheError
 from tvconv.report import KvError
@@ -183,6 +184,37 @@ def test_predict_unfrozen_uses_tape_path():
     m = LayoutModel.create(dw_spec(), seed=2)
     x = np.random.default_rng(3).normal(size=(2, 1, 32, 32))
     assert np.array_equal(m.predict(x), m.logits_array(x))
+
+
+def test_backward_skips_image_gradient(monkeypatch):
+    # The stem's input is a constant, so backward computes no conv_dx for it;
+    # every parameter gradient is what the rule that always computes it gives.
+    m = LayoutModel.create(tv_spec(), seed=2)
+    rng = np.random.default_rng(3)
+    x, y = rng.uniform(size=(4, 1, 32, 32)), np.array([0, 3, 5, 7])
+
+    def full_rule(n, g):
+        x, w = n.parents
+        return kernels.conv_dx(g, w.value), kernels.conv_dw(g, x.value, n.saved["k"])
+
+    monkeypatch.setitem(ag._RULES, "conv", full_rule)
+    full = {n.name: g for n, g in ag.backward(m.loss(x, y)).items()}
+    monkeypatch.undo()
+
+    loss = m.loss(x, y)
+    tape = ag._topo(loss)
+    image_w = {id(n.parents[1].value) for n in tape if n.op == "conv"
+               and n.parents[0].op == "leaf" and not n.parents[0].is_param}
+    assert len(image_w) == 1
+    calls = []
+    conv_dx = kernels.conv_dx
+    monkeypatch.setattr(kernels, "conv_dx",
+                        lambda g, w: calls.append(id(w) in image_w) or conv_dx(g, w))
+    grads = {n.name: g for n, g in ag.backward(loss).items()}
+    assert calls and not any(calls)
+    assert grads.keys() == full.keys() == m.params.keys()
+    for name, g in grads.items():
+        np.testing.assert_allclose(g, full[name], rtol=0, atol=1e-12)
 
 
 def test_checkpoint_round_trip(tmp_path):
