@@ -12,16 +12,18 @@ Counting conventions:
   - Parameter counts include layer-norm scale and offset pairs but no
     convolution biases (the filter paths are bias-free).
 
-Architectures are described by `ArchSpec`, a linear chain of blocks with a
-width multiplier applied at costing time (channels snap to multiples of 8;
-see `round8`). The same chain can be costed with shared depthwise filters or
-with per-position filters by flipping each block's `op` field, which is how
-the matched-budget comparisons are generated.
+Architectures are described by `ArchSpec`, a linear chain of `BlockSpec`s.
+`network_cost` applies the width multiplier (outputs snap to multiples of 8;
+see `round8`) and hands the final channel counts to `chain_cost`, the block
+pricer that `models.model_macs` uses too. Flipping each block's `op` field
+costs the chain with shared depthwise or with per-position filters, which is
+how the matched-budget comparisons are generated.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import report
@@ -63,34 +65,30 @@ def _need(spec: OpSpec, *names: str) -> list[int]:
     return vals
 
 
+def _generator_convs(c: int, k: int, affinity_channels: int, depth: int,
+                     width: int, k_gen: int) -> int:
+    """Conv weights of the field generator: affinity maps -> `depth` hidden
+    layers of `width` channels -> c*k*k filter rows, each a k_gen x k_gen conv."""
+    chans = [affinity_channels, *[width] * depth, c * k * k]
+    return sum(a * b for a, b in zip(chans, chans[1:])) * k_gen * k_gen
+
+
 def generator_macs(c: int, k: int, h: int, w: int, affinity_channels: int,
                    depth: int, width: int, k_gen: int) -> int:
     """MACs to produce one weight field of c*k*k filters on an h*w map."""
-    rows = c * k * k
-    kk = k_gen * k_gen
-    if depth == 0:
-        return affinity_channels * rows * h * w * kk
-    total = affinity_channels * width * h * w * kk
-    total += (depth - 1) * width * width * h * w * kk
-    total += width * rows * h * w * kk
-    return total
+    return _generator_convs(c, k, affinity_channels, depth, width, k_gen) * h * w
 
 
 def generator_params(c: int, k: int, affinity_channels: int,
                      depth: int, width: int, k_gen: int) -> int:
-    """Weights of the field generator alone (affinity maps not included)."""
-    rows = c * k * k
-    kk = k_gen * k_gen
-    if depth == 0:
-        return affinity_channels * rows * kk
-    total = affinity_channels * width * kk + 2 * width
-    total += (depth - 1) * (width * width * kk + 2 * width)
-    total += width * rows * kk
-    return total
+    """Weights of the field generator alone (affinity maps not included):
+    its convs plus a norm scale and offset per hidden channel."""
+    return (_generator_convs(c, k, affinity_channels, depth, width, k_gen)
+            + 2 * width * depth)
 
 
 def op_macs(spec: OpSpec) -> int:
-    if spec.kind == "depthwise":
+    if spec.kind in ("depthwise", "tvconv_apply"):  # one multiply per tap
         c, h, w, k = _need(spec, "c", "h", "w", "k")
         return c * h * w * k * k
     if spec.kind == "pointwise":
@@ -99,9 +97,6 @@ def op_macs(spec: OpSpec) -> int:
     if spec.kind == "conv":
         ci, co, h, w, k = _need(spec, "c_in", "c_out", "h", "w", "k")
         return ci * co * h * w * k * k
-    if spec.kind == "tvconv_apply":
-        c, h, w, k = _need(spec, "c", "h", "w", "k")
-        return c * h * w * k * k
     if spec.kind == "tvconv_generate":
         c, h, w, k, ca, d, gw, kg = _need(
             spec, "c", "h", "w", "k", "affinity_channels",
@@ -142,7 +137,7 @@ def round8(v: float) -> int:
 @dataclass(frozen=True)
 class BlockSpec:
     kind: str        # plain (dense conv) | inverted-residual
-    c_in: int        # unscaled; width multiplier applied at costing time
+    c_in: int        # unscaled in an ArchSpec; network_cost applies the width
     c_out: int
     k: int
     stride: int
@@ -199,22 +194,47 @@ class CostReport:
         return out
 
 
-def _block_cost(spec: ArchSpec, b: BlockSpec, idx: int, c_in: int,
-                h: int, w: int) -> tuple[BlockCost, int, int, int, int]:
-    """Cost one block. Returns (cost, scaled c_out, out_h, out_w, gen_macs)."""
-    if b.kind not in BLOCK_KINDS:
-        raise ArchError(f"block {idx + 1}: unknown kind '{b.kind}'")
-    if b.kind != "plain" and b.op not in ("depthwise", "tvconv"):
-        raise ArchError(f"block {idx + 1}: unknown op '{b.op}'")
-    if h % b.stride or w % b.stride:
-        raise ArchError(
-            f"block {idx + 1}: stride {b.stride} does not divide {h}x{w}")
+def check_arch(spec: ArchSpec, names: Sequence[str]) -> None:
+    """Reject a chain no network can have. Each error names the field, and
+    a block's error names the block by position and by `names`."""
+    if not spec.blocks:
+        raise ArchError("architecture has no blocks")
+    if not spec.width > 0:
+        raise ArchError(f"width must be > 0, got {spec.width}")
+    if min(spec.input_shape) < 1:
+        raise ArchError(f"input dims must be >= 1, got {spec.input_shape}")
+    for name, least in (("gen_affinity", 1), ("gen_width", 1), ("gen_kernel", 1),
+                        ("gen_depth", 0), ("classes", 0), ("head_embed", 0)):
+        if (getattr(spec, name) or 0) < least:     # head_embed may be None
+            raise ArchError(f"{name} must be >= {least}, got {getattr(spec, name)}")
+    if spec.gen_kernel % 2 == 0:
+        raise ArchError(f"gen_kernel must be odd, got {spec.gen_kernel}")
+    c, h, w = spec.input_shape
+    for i, (name, b) in enumerate(zip(names, spec.blocks)):
+        where = f"block {i + 1} ({name})"
+        if b.kind not in BLOCK_KINDS:
+            raise ArchError(f"{where}: unknown kind '{b.kind}'")
+        if b.op not in BODY_OPS:
+            raise ArchError(f"{where}: unknown op '{b.op}'")
+        for f in ("c_in", "c_out", "k", "stride", "expand"):
+            if getattr(b, f) < 1:
+                raise ArchError(f"{where}: {f} must be >= 1, got {getattr(b, f)}")
+        if b.k % 2 == 0:
+            raise ArchError(f"{where}: k must be odd, got {b.k}")
+        if b.c_in != c:
+            raise ArchError(f"{where}: expects {b.c_in} input channels, "
+                            f"but {c} arrive")
+        if h % b.stride or w % b.stride:
+            raise ArchError(f"{where}: stride {b.stride} does not divide {h}x{w}")
+        c, h, w = b.c_out, h // b.stride, w // b.stride
+
+
+def _block_cost(spec: ArchSpec, b: BlockSpec, name: str, h: int,
+                w: int) -> tuple[BlockCost, int]:
+    """Cost one block at exactly its channel counts. Returns (cost, gen_macs)."""
+    c_in, c_out = b.c_in, b.c_out
     oh, ow = h // b.stride, w // b.stride
-    c_out = round8(b.c_out * spec.width)
-    macs = 0
-    params = 0
-    gen = 0
-    inter = 0
+    macs = params = gen = inter = 0
 
     if b.kind == "plain":
         macs += op_macs(OpSpec("conv", c_in=c_in, c_out=c_out, h=oh, w=ow, k=b.k))
@@ -233,35 +253,25 @@ def _block_cost(spec: ArchSpec, b: BlockSpec, idx: int, c_in: int,
                         affinity_channels=spec.gen_affinity,
                         gen_depth=spec.gen_depth, gen_width=spec.gen_width,
                         gen_kernel=spec.gen_kernel)
-            macs += op_macs(OpSpec("tvconv_apply", c=hidden, h=oh, w=ow, k=b.k))
+            macs += op_macs(replace(tv, kind="tvconv_apply"))
             params += op_params(tv)
-            gen = generator_macs(hidden, b.k, oh, ow, spec.gen_affinity,
-                                 spec.gen_depth, spec.gen_width, spec.gen_kernel)
+            gen = op_macs(replace(tv, kind="tvconv_generate"))
         inter = max(inter, hidden * oh * ow)
         macs += op_macs(OpSpec("pointwise", c_in=hidden, c_out=c_out, h=oh, w=ow))
         params += op_params(OpSpec("pointwise", c_in=hidden, c_out=c_out))
 
     act = c_in * h * w + c_out * oh * ow + inter
-    cost = BlockCost(f"b{idx + 1}.{b.kind}", macs, params, oh, ow, act)
-    return cost, c_out, oh, ow, gen
+    return BlockCost(name, macs, params, oh, ow, act), gen
 
 
-def network_cost(spec: ArchSpec) -> CostReport:
-    if not spec.blocks:
-        raise ArchError("architecture has no blocks")
-    c0, h, w = spec.input_shape
-    if spec.blocks[0].c_in != c0:
-        raise ArchError(
-            f"block 1 expects {spec.blocks[0].c_in} input channels but the "
-            f"network input has {c0}")
+def chain_cost(spec: ArchSpec, names: Sequence[str]) -> CostReport:
+    """Price a checked chain at exactly the channel counts its blocks carry
+    (`spec.width` is not applied), then its head; `names` label the rows."""
+    c, h, w = spec.input_shape
     rep = CostReport()
-    c = c0  # raw input channels are never width-scaled
-    for i, b in enumerate(spec.blocks):
-        if i and b.c_in != spec.blocks[i - 1].c_out:
-            raise ArchError(
-                f"block {i + 1}: cin={b.c_in} does not chain from previous "
-                f"cout={spec.blocks[i - 1].c_out}")
-        cost, c, h, w, gen = _block_cost(spec, b, i, c, h, w)
+    for name, b in zip(names, spec.blocks):
+        cost, gen = _block_cost(spec, b, name, h, w)
+        c, h, w = b.c_out, cost.out_h, cost.out_w
         rep.blocks.append(cost)
         rep.total_macs += cost.macs
         rep.total_params += cost.params
@@ -283,6 +293,18 @@ def network_cost(spec: ArchSpec) -> CostReport:
 
     rep.peak_activation_elems = max(b.activation_elems for b in rep.blocks)
     return rep
+
+
+def network_cost(spec: ArchSpec) -> CostReport:
+    """Check the chain, apply the width (each block's output snaps with
+    `round8`; the raw input channels are never scaled) and price it."""
+    names = [f"b{i + 1}.{b.kind}" for i, b in enumerate(spec.blocks)]
+    check_arch(spec, names)
+    blocks, c = [], spec.input_shape[0]
+    for b in spec.blocks:
+        blocks.append(replace(b, c_in=c, c_out=round8(b.c_out * spec.width)))
+        c = blocks[-1].c_out
+    return chain_cost(replace(spec, blocks=tuple(blocks)), names)
 
 
 # --- the width-scaled reference network --------------------------------------

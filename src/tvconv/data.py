@@ -309,6 +309,10 @@ def load_dataset(path) -> Dataset:
     spec = report.spec_from_kv(
         LayoutDatasetSpec, report.parse_kv((src / "meta.txt").read_text(), source),
         source, assignments=_assignments_parse)
+    try:
+        _validate(spec)
+    except ValueError as e:
+        raise ValueError(f"{source}: {e}") from None
     n = spec.n_train + spec.n_test
     images = load_tensor(src / "images.tvt").data
     want = (n, spec.channels, spec.h, spec.w)

@@ -1,19 +1,20 @@
 """Desk-scale layout classifiers.
 
-A model is a dense stem, a chain of stages (stride-2 entry, pointwise
-transition, then residual blocks of [spatial 3x3 -> pointwise]), and a
-global-mean-pool linear head. Stem and transition convs are followed by
-layer norm and relu, the same pattern the weight generator uses. Each
-block is a residual branch: spatial op -> norm -> relu -> pointwise ->
-norm, added back onto its input. The branch projection stays linear (no
-relu) and its norm gain starts small (BRANCH_GAIN), so blocks begin near
-identity; both choices keep gradients flowing through the skip even when
-a hot momentum step would otherwise kill every relu in the branch, which
-is how the unnormalized variant of this backbone dies on some seeds. Each
-stage's spatial operator is either a shared depthwise filter or the
-per-position variant; per-position stages are bound to their feature-map
-size at construction and carry a single-layer cache/freeze object so a
-trained model can serve frozen inference with staleness detection.
+A model is a named chain of cost-model blocks (`costmodel.BlockSpec`) and a
+global-mean-pool linear head. `desk_arch` expands a `ModelSpec` into the
+chain: a plain k x k `stem`, then per stage a plain 1x1 transition `s{i}.t`
+entered with the stage's stride and the stage's inverted-residual blocks
+`s{i}.b{j}` (expand 1, stride 1). `create` and `forward` each walk it in one
+loop; `model_macs` prices it with the cost model's `chain_cost`. A plain block
+is conv -> layer norm -> relu, as in the weight generator. A residual block
+adds spatial op -> norm -> relu -> pointwise -> norm onto its input; the
+projection stays linear and its norm gain starts small (BRANCH_GAIN), so
+blocks begin near identity and gradients flow through the skip even when a hot
+momentum step would otherwise kill every relu in the branch (how the
+unnormalized variant dies on some seeds). The spatial op is a shared depthwise
+filter or the per-position variant, which is bound to its feature-map size and
+carries a single-layer cache/freeze object, so a trained model serves frozen
+inference with staleness checks.
 
 Parameters live in one ordered name -> array dict. The arrays are shared
 (never copied) with the per-position layer objects and with the tape leaves,
@@ -30,13 +31,13 @@ import numpy as np
 
 from . import autograd as ag
 from . import report
-from .costmodel import OpSpec, generator_macs, op_macs
+from .costmodel import BODY_OPS, ArchSpec, BlockSpec, chain_cost, check_arch
 from .operator import (GeneratorParams, TVConvLayer, generator_field,
                        init_affinity_from_stats)
 from .seeding import rng_for
 from .tensor import Tensor, load_tensor, save_tensor
 
-OPERATORS = ("depthwise", "tvconv")
+OPERATORS = BODY_OPS   # the spatial ops a residual block can mount
 
 # Initial gain of each residual branch's projection norm. Small, so early
 # updates stay tame and no hot momentum step can kill a fresh network, but
@@ -91,37 +92,38 @@ def scale_model_spec(spec: ModelSpec, mult: float) -> ModelSpec:
                    stages=stages)
 
 
-def _stage_sizes(spec: ModelSpec) -> list[tuple[int, int]]:
-    """Feature-map size after each stage; rejects a spec no model can have."""
-    for name in ("in_channels", "h", "w", "classes", "stem_channels",
-                 "affinity_channels", "gen_width", "k", "gen_kernel"):
+def desk_arch(spec: ModelSpec) -> tuple[ArchSpec, tuple[str, ...]]:
+    """The model as a cost-model chain at its exact widths, and the name of
+    each block: the stem, then per stage a strided pointwise transition
+    `s{i}.t` and its residual blocks `s{i}.b{j}`. Rejects a spec no model
+    can have."""
+    for name in ("classes", "stem_channels", "affinity_channels"):
         if getattr(spec, name) < 1:
             raise ValueError(f"{name} must be >= 1, got {getattr(spec, name)}")
-    for name in ("k", "gen_kernel"):
-        if getattr(spec, name) % 2 == 0:
-            raise ValueError(f"{name} must be odd, got {getattr(spec, name)}")
-    if spec.gen_depth < 0:
-        raise ValueError(f"gen_depth must be >= 0, got {spec.gen_depth}")
-    h, w = spec.h, spec.w
-    sizes = []
+    chain = [("stem", BlockSpec("plain", spec.in_channels, spec.stem_channels,
+                                spec.k, 1, 1, "depthwise"))]
+    c = spec.stem_channels
     for i, st in enumerate(spec.stages):
-        if st.operator not in OPERATORS:
-            raise ValueError(f"stage {i}: unknown operator '{st.operator}'")
-        if st.channels < 1 or st.stride < 1:
-            raise ValueError(f"stage {i}: channels and stride must be >= 1, "
-                             f"got {st.channels} and {st.stride}")
-        if h % st.stride or w % st.stride:
-            raise ValueError(
-                f"stage {i}: stride {st.stride} does not divide {h}x{w}")
-        h, w = h // st.stride, w // st.stride
-        sizes.append((h, w))
-    return sizes
+        chain.append((f"s{i}.t", BlockSpec("plain", c, st.channels, 1,
+                                           st.stride, 1, st.operator)))
+        c = st.channels
+        chain += [(f"s{i}.b{j}", BlockSpec("inverted-residual", c, c, spec.k,
+                                           1, 1, st.operator))
+                  for j in range(st.blocks)]
+    names, blocks = zip(*chain)
+    arch = ArchSpec(1.0, (spec.in_channels, spec.h, spec.w), blocks,
+                    classes=spec.classes, gen_affinity=spec.affinity_channels,
+                    gen_depth=spec.gen_depth, gen_width=spec.gen_width,
+                    gen_kernel=spec.gen_kernel)
+    check_arch(arch, names)
+    return arch, names
 
 
 class LayoutModel:
-    def __init__(self, spec: ModelSpec, params: dict[str, np.ndarray],
-                 tv_layers: dict[str, TVConvLayer]):
+    def __init__(self, spec: ModelSpec, chain: tuple[tuple[str, BlockSpec], ...],
+                 params: dict[str, np.ndarray], tv_layers: dict[str, TVConvLayer]):
         self.spec = spec
+        self.chain = chain
         self.params = params
         self.tv_layers = tv_layers
         self.leaves = {name: ag.leaf(arr, name=name, param=True)
@@ -135,7 +137,8 @@ class LayoutModel:
         if spec.affinity_init == "stats" and stats_images is None:
             raise ValueError("affinity_init='stats' requires stats_images")
         rng = rng_for(seed, "init")
-        sizes = _stage_sizes(spec)
+        arch, names = desk_arch(spec)
+        chain = tuple(zip(names, arch.blocks))
         params: dict[str, np.ndarray] = {}
         tv_layers: dict[str, TVConvLayer] = {}
 
@@ -146,44 +149,37 @@ class LayoutModel:
             params[f"{prefix}.g"] = np.full(c, gain, dtype=np.float64)
             params[f"{prefix}.b"] = np.zeros(c)
 
-        k = spec.k
-        params["stem.w"] = he((spec.stem_channels, spec.in_channels, k, k),
-                              spec.in_channels * k * k)
-        ln("stem.ln", spec.stem_channels)
-        c_prev = spec.stem_channels
-        for i, st in enumerate(spec.stages):
-            c = st.channels
-            hi, wi = sizes[i]
-            params[f"s{i}.t.w"] = he((c, c_prev, 1, 1), c_prev)
-            ln(f"s{i}.t.ln", c)
-            for j in range(st.blocks):
-                p = f"s{i}.b{j}"
-                if st.operator == "depthwise":
-                    params[f"{p}.dw.w"] = he((c, k, k), k * k)
+        hi, wi = spec.h, spec.w
+        for p, b in chain:
+            c, k = b.c_out, b.k
+            hi, wi = hi // b.stride, wi // b.stride
+            if b.kind == "plain":
+                params[f"{p}.w"] = he((c, b.c_in, k, k), b.c_in * k * k)
+                ln(f"{p}.ln", c)
+                continue
+            if b.op == "depthwise":
+                params[f"{p}.dw.w"] = he((c, k, k), k * k)
+            else:
+                gen = GeneratorParams.create(
+                    channels=c, k=k, affinity_channels=spec.affinity_channels,
+                    depth=spec.gen_depth, width=spec.gen_width,
+                    k_gen=spec.gen_kernel, rng=rng)
+                if spec.affinity_init == "constant":
+                    aff = np.ones((spec.affinity_channels, hi, wi))
                 else:
-                    gen = GeneratorParams.create(
-                        channels=c, k=k,
-                        affinity_channels=spec.affinity_channels,
-                        depth=spec.gen_depth, width=spec.gen_width,
-                        k_gen=spec.gen_kernel, rng=rng)
-                    if spec.affinity_init == "constant":
-                        aff = np.ones((spec.affinity_channels, hi, wi))
-                    else:
-                        aff = init_affinity_from_stats(
-                            stats_images, spec.affinity_channels, hi, wi).values
-                    layer = TVConvLayer(aff, gen, hi, wi)
-                    params[f"{p}.tv.aff"] = layer.affinity
-                    for name, arr in gen.arrays():
-                        params[f"{p}.tv.{name}"] = arr
-                    tv_layers[f"{p}.tv"] = layer
-                ln(f"{p}.sp.ln", c)
-                params[f"{p}.pw.w"] = he((c, c, 1, 1), c)
-                ln(f"{p}.pw.ln", c, gain=BRANCH_GAIN)
-            c_prev = c
-        params["head.w"] = rng.normal(0.0, np.sqrt(1.0 / c_prev),
-                                      size=(c_prev, spec.classes))
+                    aff = init_affinity_from_stats(
+                        stats_images, spec.affinity_channels, hi, wi).values
+                layer = TVConvLayer(aff, gen, hi, wi)
+                params[f"{p}.tv.aff"] = layer.affinity
+                for name, arr in gen.arrays():
+                    params[f"{p}.tv.{name}"] = arr
+                tv_layers[f"{p}.tv"] = layer
+            ln(f"{p}.sp.ln", c)
+            params[f"{p}.pw.w"] = he((c, c, 1, 1), c)
+            ln(f"{p}.pw.ln", c, gain=BRANCH_GAIN)
+        params["head.w"] = rng.normal(0.0, np.sqrt(1.0 / c), size=(c, spec.classes))
         params["head.b"] = np.zeros(spec.classes)
-        return cls(spec, params, tv_layers)
+        return cls(spec, chain, params, tv_layers)
 
     # --- tape forward -------------------------------------------------------
 
@@ -196,8 +192,7 @@ class LayoutModel:
         """Logits node over `self.leaves`. With recording off, a frozen
         per-position layer serves its cached field instead of regenerating."""
         x = np.asarray(x, dtype=np.float64)
-        spec = self.spec
-        want = (spec.in_channels, spec.h, spec.w)
+        want = (self.spec.in_channels, self.spec.h, self.spec.w)
         if x.ndim != 4 or x.shape[1:] != want:
             raise ValueError(
                 f"expected input [n, {want[0]}, {want[1]}, {want[2]}], "
@@ -208,27 +203,26 @@ class LayoutModel:
             return ag.relu(ag.layer_norm(node, leaves[f"{prefix}.g"],
                                          leaves[f"{prefix}.b"]))
 
-        h = lnr(ag.conv(ag.constant(x), leaves["stem.w"]), "stem.ln")
-        for i, st in enumerate(spec.stages):
-            if st.stride > 1:
-                h = ag.subsample(h, st.stride)
-            h = lnr(ag.conv(h, leaves[f"s{i}.t.w"]), f"s{i}.t.ln")
-            for j in range(st.blocks):
-                p = f"s{i}.b{j}"
-                if st.operator == "depthwise":
-                    b = ag.dwconv(h, leaves[f"{p}.dw.w"])
+        h = ag.constant(x)
+        for p, b in self.chain:
+            if b.kind == "plain":
+                if b.stride > 1:
+                    h = ag.subsample(h, b.stride)
+                h = lnr(ag.conv(h, leaves[f"{p}.w"]), f"{p}.ln")
+                continue
+            if b.op == "depthwise":
+                r = ag.dwconv(h, leaves[f"{p}.dw.w"])
+            else:
+                layer = self.tv_layers[f"{p}.tv"]
+                if layer.frozen and not ag.recording():
+                    field = ag.constant(layer.cached_field().values)
                 else:
-                    layer = self.tv_layers[f"{p}.tv"]
-                    if layer.frozen and not ag.recording():
-                        field = ag.constant(layer.cached_field().values)
-                    else:
-                        field = self._field_node(leaves, f"{p}.tv", layer)
-                    b = ag.tvconv(h, field, spec.k)
-                b = lnr(b, f"{p}.sp.ln")
-                b = ag.conv(b, leaves[f"{p}.pw.w"])
-                b = ag.layer_norm(b, leaves[f"{p}.pw.ln.g"],
-                                  leaves[f"{p}.pw.ln.b"])
-                h = ag.add(h, b)
+                    field = self._field_node(leaves, f"{p}.tv", layer)
+                r = ag.tvconv(h, field, b.k)
+            r = lnr(r, f"{p}.sp.ln")
+            r = ag.conv(r, leaves[f"{p}.pw.w"])
+            r = ag.layer_norm(r, leaves[f"{p}.pw.ln.g"], leaves[f"{p}.pw.ln.b"])
+            h = ag.add(h, r)
         return ag.linear(ag.pool_mean(h), leaves["head.w"], leaves["head.b"])
 
     def logits_array(self, x: np.ndarray) -> np.ndarray:
@@ -259,30 +253,10 @@ class LayoutModel:
 # --- analytic cost ------------------------------------------------------------
 
 def model_macs(spec: ModelSpec) -> tuple[int, int]:
-    """(steady-state MACs per image, one-time field-generation MACs)."""
-    sizes = _stage_sizes(spec)
-    k = spec.k
-    total = op_macs(OpSpec("conv", c_in=spec.in_channels,
-                           c_out=spec.stem_channels, h=spec.h, w=spec.w, k=k))
-    one_time = 0
-    c_prev = spec.stem_channels
-    for i, st in enumerate(spec.stages):
-        hi, wi = sizes[i]
-        c = st.channels
-        total += op_macs(OpSpec("pointwise", c_in=c_prev, c_out=c, h=hi, w=wi))
-        for _ in range(st.blocks):
-            if st.operator == "depthwise":
-                total += op_macs(OpSpec("depthwise", c=c, h=hi, w=wi, k=k))
-            else:
-                total += op_macs(OpSpec("tvconv_apply", c=c, h=hi, w=wi, k=k))
-                one_time += generator_macs(c, k, hi, wi,
-                                           spec.affinity_channels,
-                                           spec.gen_depth, spec.gen_width,
-                                           spec.gen_kernel)
-            total += op_macs(OpSpec("pointwise", c_in=c, c_out=c, h=hi, w=wi))
-        c_prev = c
-    total += c_prev * spec.classes
-    return total, one_time
+    """(steady-state MACs per image, one-time field-generation MACs), from
+    the cost model's pricer on the model's own chain."""
+    rep = chain_cost(*desk_arch(spec))
+    return rep.total_macs, rep.one_time_generation_macs
 
 
 def matched_depthwise_twin(spec: ModelSpec, baseline: ModelSpec | None = None,
@@ -294,8 +268,7 @@ def matched_depthwise_twin(spec: ModelSpec, baseline: ModelSpec | None = None,
     chain; the scan exists for handicapped baselines."""
     target, _ = model_macs(spec)
     base = baseline if baseline is not None else to_operator(spec, "depthwise")
-    steps = int(round((max_mult - 1.0) / step)) + 1
-    for i in range(steps):
+    for i in range(int(round((max_mult - 1.0) / step)) + 1):
         mult = round(1.0 + i * step, 10)
         twin = scale_model_spec(base, mult)
         got, _ = model_macs(twin)

@@ -275,6 +275,16 @@ def test_bad_value_is_one_error_line(args, names, tmp_path, capsys):
     assert names in err
 
 
+def test_count_bad_block_is_one_error_line(tmp_path, capsys):
+    arch_file = tmp_path / "arch.txt"
+    write_arch(arch_file)
+    arch_file.write_text(arch_file.read_text().replace("stride=1", "stride=0"))
+    code, out, err = run_cli(["count", arch_file, "--out", tmp_path], capsys)
+    assert code == 1 and out == ""
+    assert err == ("error: block 1 (b1.inverted-residual): stride must be >= 1, "
+                   "got 0\n")
+
+
 # --- train / eval / export ----------------------------------------------------
 
 

@@ -231,6 +231,35 @@ def test_network_cost_rejects_bad_kind_and_op():
         cm.network_cost(bad_op)
 
 
+ONE_BLOCK = ("width=1.0\ninput=8x16x16\n{header}"
+             "block inverted-residual cin=8 cout=8 k=3 stride=1 expand=1 op=tvconv\n")
+
+
+@pytest.mark.parametrize("old, new, match", [
+    ("stride=1", "stride=0", r"block 1 \(b1.inverted-residual\): stride must be >= 1"),
+    ("k=3", "k=4", r"block 1 \(b1.inverted-residual\): k must be odd, got 4"),
+    ("expand=1", "expand=0", r"block 1 \(b1.inverted-residual\): expand must be >= 1"),
+    ("cout=8", "cout=0", r"block 1 \(b1.inverted-residual\): c_out must be >= 1"),
+    ("width=1.0", "width=-1.0", r"width must be > 0, got -1.0"),
+    ("{header}", "gen_depth=-2\n", r"gen_depth must be >= 0, got -2"),
+    ("{header}", "gen_kernel=2\n", r"gen_kernel must be odd, got 2"),
+], ids=["stride", "k", "expand", "cout", "width", "gen_depth", "gen_kernel"])
+def test_bad_arch_file_is_rejected_by_field(old, new, match, tmp_path):
+    # each of these was once priced without a word (stride=0 divided by zero)
+    path = tmp_path / "arch.txt"
+    path.write_text(ONE_BLOCK.replace(old, new).replace("{header}", ""))
+    with pytest.raises(ArchError, match=match):
+        cm.network_cost(cm.load_arch(path))
+
+
+def test_network_cost_prices_only_after_width():
+    # the pricer takes channel counts as given; the width snap lives in
+    # network_cost, so 17 channels price as 17 in chain_cost and as 16 there
+    spec = ArchSpec(1.0, (1, 8, 8), (BlockSpec("plain", 1, 17, 3, 1, 1, "depthwise"),))
+    assert cm.chain_cost(spec, ["b1.plain"]).total_macs == 1 * 17 * 64 * 9
+    assert cm.network_cost(spec).total_macs == 1 * 16 * 64 * 9
+
+
 def test_head_and_classifier_costs():
     # global depthwise + pointwise embedding + classifier, applied to the
     # final 16-channel 4x4 feature map

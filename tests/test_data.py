@@ -374,6 +374,17 @@ def test_load_rejects_non_integer_label(tmp_path):
         data.load_dataset(tmp_path)
 
 
+def test_load_validates_meta(tmp_path):
+    # an empty test split used to load, then divide by zero in evaluation
+    data.save_dataset(data.gen_layout_dataset(small_spec(n_train=12, n_test=4)),
+                      tmp_path)
+    meta = tmp_path / "meta.txt"
+    meta.write_text(meta.read_text().replace("n_train=12", "n_train=16")
+                    .replace("n_test=4", "n_test=0"))
+    with pytest.raises(ValueError, match=r"meta\.txt: n_test must be >= 1, got 0"):
+        data.load_dataset(tmp_path)
+
+
 def test_load_rejects_image_shape_mismatch(tmp_path):
     data.save_dataset(data.gen_layout_dataset(small_spec()), tmp_path)
     save_tensor(Tensor(np.zeros((24, 1, 8, 8))), tmp_path / "images.tvt")

@@ -3,6 +3,8 @@ cross-checked against the single-layer operator module, hand-counted MAC
 totals, matched-budget twin construction, freeze consistency,
 checkpoint round-trips and the checks load_model makes at that boundary."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,37 @@ def test_model_macs_frozen():
     # s1: pw 8192 + dw 9216 + pw 16384; head linear 128
     assert total == 73_728 + 16_384 + 18_432 + 16_384 + 8192 + 9216 + 16_384 + 128
     assert one_time == 0
+    three = ModelSpec(stages=models._stages_parse(
+        "8:2:tvconv:2;16:3:depthwise:2;24:1:tvconv:1"))
+    assert models.model_macs(dw_spec()) == (158_848, 0)
+    assert models.model_macs(tv_spec()) == (158_848, 2_036_736)
+    assert models.model_macs(three) == (320_192, 3_732_480)
+    assert models.model_macs(tv_spec(k=5, gen_depth=0, affinity_channels=3,
+                                     gen_kernel=5)) == (339_072, 5_760_000)
+    # 17 channels are priced as given; the cost model's snap to multiples of
+    # 8 belongs to network_cost's width multiplier and would give 158,848
+    wide = models.scale_model_spec(dw_spec(), 1.05)
+    assert wide.stem_channels == 8 and wide.stages[1].channels == 17
+    assert models.model_macs(wide) == (162_056, 0)
+
+
+@pytest.mark.parametrize("op, params_sha, logits_sha", [
+    ("depthwise", "15473106812833d2f91f35241ac1a503908785616bf3a154abd749d6428440a6",
+     "65250db28d39064faaea71d4340c645995d384074e4f33b46e46ea291e2f49c9"),
+    ("tvconv", "557d5b8a4e28ca1c59b53639002d1b69f8649892a8989e39399807a0a5b69ae4",
+     "1157dc491b382308002ea80451187f09341e97755ecf4a50857cac76d7a2c9d1"),
+], ids=["depthwise", "tvconv"])
+def test_create_and_logits_pinned(op, params_sha, logits_sha):
+    # the parameter bytes (names, order, init stream) and the forward walk
+    # over them are fixed points of any rewrite of the block chain
+    m = LayoutModel.create(models.default_model_spec(op), seed=0)
+    digest = hashlib.sha256()
+    for name, arr in m.params.items():
+        digest.update(name.encode() + arr.tobytes())
+    assert digest.hexdigest() == params_sha
+    x = np.random.default_rng(123).normal(size=(4, 1, 32, 32))
+    logits = np.round(m.logits_array(x), 9)   # robust to BLAS summation order
+    assert hashlib.sha256(logits.tobytes()).hexdigest() == logits_sha
 
 
 def test_model_macs_parity():
