@@ -87,12 +87,12 @@ def _rule(name):
 
 
 def relu(x: Node) -> Node:
-    return Node("relu", x.value * (x.value > 0), (x,))
+    return Node("relu", np.maximum(x.value, 0), (x,))
 
 
 @_rule("relu")
 def _relu_bwd(n, g):
-    return (g * (n.parents[0].value > 0),)
+    return (g * (n.value > 0),)  # y > 0 exactly where x > 0
 
 
 def dwconv(x: Node, w: Node) -> Node:
@@ -135,13 +135,14 @@ def _tvconv_bwd(n, g):
 
 
 def layer_norm(x: Node, gamma: Node, beta: Node, eps: float = 1e-5) -> Node:
-    y, xhat, inv_std = kernels.layer_norm_fwd(x.value, gamma.value, beta.value, eps)
-    return Node("layer_norm", y, (x, gamma, beta), {"xhat": xhat, "inv_std": inv_std})
+    y, mean, inv_std = kernels.layer_norm_fwd(x.value, gamma.value, beta.value, eps)
+    return Node("layer_norm", y, (x, gamma, beta), {"mean": mean, "inv_std": inv_std})
 
 
 @_rule("layer_norm")
 def _layer_norm_bwd(n, g):
-    return kernels.layer_norm_bwd(g, n.saved["xhat"], n.saved["inv_std"], n.parents[1].value)
+    x, gamma, _ = n.parents
+    return kernels.layer_norm_bwd(g, x.value, n.saved["mean"], n.saved["inv_std"], gamma.value)
 
 
 def linear(x: Node, w: Node, b: Node) -> Node:

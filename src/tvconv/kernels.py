@@ -1,12 +1,18 @@
 """Vectorized numpy kernels under the autograd ops and the operator module.
 
 All spatial kernels work on batched [n, c, h, w] arrays with zero "same"
-padding and odd square kernels. Depthwise and per-position convs add one
-kernel tap at a time in row-major (u, v) order; the dense conv and its two
-gradients are one GEMM each over an im2col matrix. The bit-exact contracts
-hold by sharing a path: a single-channel dense conv runs `dwconv`, and a
-weight field that is constant over positions makes `tvconv` add the same
-taps in the same order as `dwconv`.
+padding and odd square kernels; `pad_same` copies the input into the
+interior of a zeroed buffer. Depthwise and per-position convs add one
+kernel tap at a time in row-major (u, v) order: each tap is multiplied into
+one product buffer, allocated once per call, and added from there. The
+dense conv and its two gradients are one GEMM each over an im2col matrix.
+The bit-exact contracts hold by sharing a path: a single-channel dense conv
+runs `dwconv`, and a weight field that is constant over positions makes
+`tvconv` add the same taps in the same order as `dwconv`.
+
+Layer norm returns only its per-sample moments next to its output, and the
+tape saves those two [n,1,1,1] arrays, not the normalized activation; the
+backward rule rebuilds x-hat from the input, which the tape already holds.
 """
 
 from __future__ import annotations
@@ -19,7 +25,10 @@ def pad_same(x: np.ndarray, k: int) -> np.ndarray:
     r = k // 2
     if r == 0:
         return x
-    return np.pad(x, ((0, 0), (0, 0), (r, r), (r, r)))
+    n, c, h, w = x.shape
+    xp = np.zeros((n, c, h + 2 * r, w + 2 * r), dtype=x.dtype)
+    xp[:, :, r : r + h, r : r + w] = x
+    return xp
 
 
 def dwconv(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -27,10 +36,11 @@ def dwconv(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     n, c, h, ww = x.shape
     k = w.shape[-1]
     xp = pad_same(x, k)
-    out = np.zeros_like(x)
+    out, prod = np.zeros_like(x), np.empty_like(x)
     for u in range(k):
         for v in range(k):
-            out += w[:, u, v][:, None, None] * xp[:, :, u : u + h, v : v + ww]
+            np.multiply(w[:, u, v][:, None, None], xp[:, :, u : u + h, v : v + ww], out=prod)
+            out += prod
     return out
 
 
@@ -82,10 +92,11 @@ def tvconv(x: np.ndarray, w5: np.ndarray) -> np.ndarray:
     n, c, h, ww = x.shape
     k = w5.shape[1]
     xp = pad_same(x, k)
-    out = np.zeros_like(x)
+    out, prod = np.zeros_like(x), np.empty_like(x)
     for u in range(k):
         for v in range(k):
-            out += w5[:, u, v][None] * xp[:, :, u : u + h, v : v + ww]
+            np.multiply(w5[:, u, v][None], xp[:, :, u : u + h, v : v + ww], out=prod)
+            out += prod
     return out
 
 
@@ -94,9 +105,11 @@ def tvconv_dx(g: np.ndarray, w5: np.ndarray) -> np.ndarray:
     k = w5.shape[1]
     r = k // 2
     dxp = np.zeros((n, c, h + 2 * r, ww + 2 * r), dtype=g.dtype)
+    prod = np.empty_like(g)
     for u in range(k):
         for v in range(k):
-            dxp[:, :, u : u + h, v : v + ww] += w5[:, u, v][None] * g
+            np.multiply(w5[:, u, v][None], g, out=prod)
+            dxp[:, :, u : u + h, v : v + ww] += prod
     return dxp[:, :, r : r + h, r : r + ww] if r else dxp
 
 
@@ -113,24 +126,30 @@ def tvconv_dw(g: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
 def layer_norm_fwd(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float):
     """Per-sample normalization over (c,h,w), per-channel affine.
 
-    Returns (y, xhat, inv_std); the extras feed the backward rule.
+    Returns (y, mean, inv_std), the last two [n,1,1,1]; they and x are all
+    the backward rule needs. The variance is taken about the mean, not as
+    E[x^2] - E[x]^2, which cancels.
     """
-    xhat = x - x.mean(axis=(1, 2, 3), keepdims=True)
-    flat = xhat.reshape(len(x), -1)
+    mean = x.mean(axis=(1, 2, 3), keepdims=True)
+    y = x - mean
+    flat = y.reshape(len(x), -1)
     var = np.einsum("ij,ij->i", flat, flat)[:, None, None, None] / flat.shape[1]
     inv_std = 1.0 / np.sqrt(var + eps)
+    y *= inv_std * gamma[:, None, None]
+    y += beta[:, None, None]
+    return y, mean, inv_std
+
+
+def layer_norm_bwd(g, x, mean, inv_std, gamma):
+    xhat = x - mean
     xhat *= inv_std
-    y = xhat * gamma[:, None, None] + beta[:, None, None]
-    return y, xhat, inv_std
-
-
-def layer_norm_bwd(g, xhat, inv_std, gamma):
     dgamma = np.einsum("nchw,nchw->c", g, xhat)
     dbeta = g.sum(axis=(0, 2, 3))
     dx = g * gamma[:, None, None]
     flat, xflat = dx.reshape(len(g), -1), xhat.reshape(len(g), -1)
-    m2 = np.einsum("ij,ij->i", flat, xflat)[:, None, None, None] / flat.shape[1]
-    dx -= xhat * m2 + flat.mean(axis=1)[:, None, None, None]
+    xhat *= np.einsum("ij,ij->i", flat, xflat)[:, None, None, None] / flat.shape[1]
+    xhat += flat.mean(axis=1)[:, None, None, None]
+    dx -= xhat
     dx *= inv_std
     return dx, dgamma, dbeta
 

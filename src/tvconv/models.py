@@ -104,6 +104,8 @@ def desk_arch(spec: ModelSpec) -> tuple[ArchSpec, tuple[str, ...]]:
                                 spec.k, 1, 1, "depthwise"))]
     c = spec.stem_channels
     for i, st in enumerate(spec.stages):
+        if st.blocks < 0:
+            raise ValueError(f"stage {i}: blocks must be >= 0, got {st.blocks}")
         chain.append((f"s{i}.t", BlockSpec("plain", c, st.channels, 1,
                                            st.stride, 1, st.operator)))
         c = st.channels

@@ -249,6 +249,8 @@ def test_spec_from_kv_reads_false_bool():
     (["synth", "--set", "data.grid=0"], "grid"),
     (["synth", "--set", "data.classes=0"], "classes"),
     (["train", *TINY_DATA, "--set", "model.stages=8:1:depthwise:0"], "stride"),
+    (["train", *TINY_DATA, "--set", "model.stages=8:-1:depthwise:2"],
+     "stage 0: blocks must be >= 0"),
     (["train", *TINY_DATA, "--set", "model.affinity_channels=0"],
      "affinity_channels"),
     (["train", *TINY_DATA, "--set", "model.operator=depthwise",
@@ -265,7 +267,7 @@ def test_spec_from_kv_reads_false_bool():
     (["gradcheck", "--set", "eps=0"], "eps"),
     (["ablate", "init", *TINY_DATA, "--set", "seeds="], "seed"),
     (["ablate", "generator", *TINY_DATA, "--set", "grid=1,8"], "grid"),
-], ids=["grid", "classes", "stride", "affinity_channels", "even_k",
+], ids=["grid", "classes", "stride", "blocks", "affinity_channels", "even_k",
         "gen_depth", "stem", "operator_vs_stages", "epochs", "bool", "instances",
         "eps", "seeds", "grid3"])
 def test_bad_value_is_one_error_line(args, names, tmp_path, capsys):

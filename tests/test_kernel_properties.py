@@ -1,11 +1,13 @@
-"""Property tests of the dense conv and layer norm kernels.
+"""Property tests of the conv, depthwise, per-position and layer norm kernels.
 
-`conv`, `conv_dx` and `conv_dw` run as one GEMM each and layer norm takes its
-moments in one pass; the references here compute every output position as an
-explicit window sum (or scatter, for the input gradient) and the moments in
-two passes per sample. Shapes, kernel sizes and dtypes are drawn; the cases
-the GEMM layout is most likely to get wrong (1×N and N×1 maps, k = 5 wider
-than the map, ci ≠ co, batch > 1, float32) are pinned as explicit examples.
+`conv`, `conv_dx` and `conv_dw` run as one GEMM each, the depthwise and
+per-position kernels add one tap at a time into a reused product buffer, and
+layer norm keeps only its moments. The references here compute every output
+position as an explicit window sum (or scatter, for the input gradient) and
+the moments in two passes per sample. Shapes, kernel sizes and dtypes are
+drawn; the cases a shifted-window layout is most likely to get wrong (1×N and
+N×1 maps, k = 5 wider than the map, ci ≠ co, batch > 1, float32) are pinned
+as explicit examples.
 """
 
 import numpy as np
@@ -34,11 +36,11 @@ def tol(dtype):
     return 1e-12 if dtype == np.float64 else 1e-4
 
 
-def prop(test):
+def prop(test, dims=DIMS, examples=EXAMPLES):
     """Run `test` on drawn shapes plus every pinned example."""
-    for ex in EXAMPLES:
+    for ex in examples:
         test = example(**ex)(test)
-    return SETTINGS(given(**DIMS)(test))
+    return SETTINGS(given(**dims)(test))
 
 
 def arrays(n, ci, co, h, w, k, dtype, seed):
@@ -123,21 +125,26 @@ def ln_arrays(n, c, h, w, dtype, seed):
 def ln_ref(x, gamma, beta, eps):
     """Mean, then the mean squared deviation from it, one sample at a time."""
     x = x.astype(np.float64)
-    xhat = np.empty_like(x)
+    y = np.empty_like(x)
+    mean = np.empty((x.shape[0], 1, 1, 1))
     inv_std = np.empty((x.shape[0], 1, 1, 1))
     for s in range(x.shape[0]):
-        mu = x[s].sum() / x[s].size
-        var = ((x[s] - mu) ** 2).sum() / x[s].size
+        mean[s] = x[s].sum() / x[s].size
+        var = ((x[s] - mean[s]) ** 2).sum() / x[s].size
         inv_std[s] = 1.0 / np.sqrt(var + eps)
-        xhat[s] = (x[s] - mu) * inv_std[s]
-    return gamma[:, None, None] * xhat + beta[:, None, None], xhat, inv_std
+        y[s] = gamma[:, None, None] * (x[s] - mean[s]) * inv_std[s] + beta[:, None, None]
+    return y, mean, inv_std
 
 
-def ln_bwd_ref(g, xhat, inv_std, gamma):
-    dx = np.empty_like(xhat)
+def ln_bwd_ref(g, x, gamma, eps):
+    xhat = np.empty_like(x)
+    dx = np.empty_like(x)
     for s in range(g.shape[0]):
+        mu = x[s].mean()
+        inv_std = 1.0 / np.sqrt(((x[s] - mu) ** 2).mean() + eps)
+        xhat[s] = (x[s] - mu) * inv_std
         dxhat = g[s] * gamma[:, None, None]
-        dx[s] = inv_std[s] * (dxhat - dxhat.mean() - xhat[s] * (dxhat * xhat[s]).mean())
+        dx[s] = inv_std * (dxhat - dxhat.mean() - xhat[s] * (dxhat * xhat[s]).mean())
     return dx, (g * xhat).sum(axis=(0, 2, 3)), g.sum(axis=(0, 2, 3))
 
 
@@ -163,10 +170,122 @@ def test_layer_norm_fwd_matches_two_pass(n, c, h, w, dtype, seed):
 @example(n=3, c=2, h=6, w=1, dtype=np.float32, seed=8)
 def test_layer_norm_bwd_matches_two_pass(n, c, h, w, dtype, seed):
     x, gamma, beta, g = ln_arrays(n, c, h, w, dtype, seed)
-    _, xhat, inv_std = kernels.layer_norm_fwd(x, gamma, beta, 1e-5)
-    got = kernels.layer_norm_bwd(g, xhat, inv_std, gamma)
-    want = ln_bwd_ref(g.astype(np.float64), xhat.astype(np.float64),
-                      inv_std.astype(np.float64), gamma.astype(np.float64))
+    _, mean, inv_std = kernels.layer_norm_fwd(x, gamma, beta, 1e-5)
+    got = kernels.layer_norm_bwd(g, x, mean, inv_std, gamma)
+    want = ln_bwd_ref(g.astype(np.float64), x.astype(np.float64),
+                      gamma.astype(np.float64), 1e-5)
     for a, b in zip(got, want):
         assert a.dtype == dtype
         np.testing.assert_allclose(a, b, rtol=0, atol=tol(dtype))
+
+
+# --- depthwise and per-position kernels ----------------------------------------
+
+DW_DIMS = dict(LN_DIMS, k=DIMS["k"])
+DW_EXAMPLES = [
+    dict(n=2, c=3, h=1, w=6, k=5, dtype=np.float64, seed=11),
+    dict(n=3, c=2, h=6, w=1, k=3, dtype=np.float32, seed=12),
+    dict(n=1, c=4, h=2, w=3, k=5, dtype=np.float32, seed=13),
+    dict(n=2, c=1, h=4, w=5, k=1, dtype=np.float64, seed=14),
+]
+
+
+def dw_prop(test):
+    return prop(test, DW_DIMS, DW_EXAMPLES)
+
+
+def dw_arrays(n, c, h, w, k, dtype, seed):
+    """Input, depthwise kernel [c,k,k], weight field [c,k,k,h,w], output grad."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, c, h, w)).astype(dtype)
+    wt = rng.standard_normal((c, k, k)).astype(dtype)
+    w5 = rng.standard_normal((c, k, k, h, w)).astype(dtype)
+    g = rng.standard_normal((n, c, h, w)).astype(dtype)
+    return x, wt, w5, g
+
+
+def at(w, i, j):
+    """The [c,k,k] filter at position (i, j): a weight field's, or a fixed one."""
+    return w[..., i, j] if w.ndim == 5 else w
+
+
+def per_tap_ref(x, w):
+    n, c, h, ww = x.shape
+    k = w.shape[1]
+    xp = padded(x, k)
+    out = np.zeros((n, c, h, ww))
+    for i in range(h):
+        for j in range(ww):
+            out[:, :, i, j] = np.einsum("nckl,ckl->nc", xp[:, :, i:i + k, j:j + k], at(w, i, j))
+    return out
+
+
+def per_tap_dx_ref(g, w):
+    """Scatter each output position's gradient back onto its window."""
+    n, c, h, ww = g.shape
+    k = w.shape[1]
+    r = k // 2
+    dxp = np.zeros((n, c, h + 2 * r, ww + 2 * r))
+    for i in range(h):
+        for j in range(ww):
+            dxp[:, :, i:i + k, j:j + k] += g[:, :, i, j, None, None] * at(w, i, j)
+    return dxp[:, :, r:r + h, r:r + ww]
+
+
+def per_tap_dw_ref(g, x, k, per_position):
+    _, c, h, ww = x.shape
+    xp = padded(x, k)
+    dw = np.zeros((c, k, k, h, ww))
+    for i in range(h):
+        for j in range(ww):
+            dw[..., i, j] = np.einsum("nc,nckl->ckl", g[:, :, i, j], xp[:, :, i:i + k, j:j + k])
+    return dw if per_position else dw.sum(axis=(3, 4))
+
+
+def check(got, want, dtype):
+    assert got.dtype == dtype and got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=0, atol=tol(dtype))
+
+
+@dw_prop
+def test_dwconv_matches_window_sums(n, c, h, w, k, dtype, seed):
+    x, wt, _, _ = dw_arrays(n, c, h, w, k, dtype, seed)
+    check(kernels.dwconv(x, wt), per_tap_ref(x, wt), dtype)
+
+
+@dw_prop
+def test_dwconv_dx_matches_scatter(n, c, h, w, k, dtype, seed):
+    _, wt, _, g = dw_arrays(n, c, h, w, k, dtype, seed)
+    check(kernels.dwconv_dx(g, wt), per_tap_dx_ref(g, wt), dtype)
+
+
+@dw_prop
+def test_dwconv_dw_matches_window_sums(n, c, h, w, k, dtype, seed):
+    x, _, _, g = dw_arrays(n, c, h, w, k, dtype, seed)
+    check(kernels.dwconv_dw(g, x, k), per_tap_dw_ref(g, x, k, False), dtype)
+
+
+@dw_prop
+def test_tvconv_matches_window_sums(n, c, h, w, k, dtype, seed):
+    x, _, w5, _ = dw_arrays(n, c, h, w, k, dtype, seed)
+    check(kernels.tvconv(x, w5), per_tap_ref(x, w5), dtype)
+
+
+@dw_prop
+def test_tvconv_dx_matches_scatter(n, c, h, w, k, dtype, seed):
+    _, _, w5, g = dw_arrays(n, c, h, w, k, dtype, seed)
+    check(kernels.tvconv_dx(g, w5), per_tap_dx_ref(g, w5), dtype)
+
+
+@dw_prop
+def test_tvconv_dw_matches_window_sums(n, c, h, w, k, dtype, seed):
+    x, _, _, g = dw_arrays(n, c, h, w, k, dtype, seed)
+    check(kernels.tvconv_dw(g, x, k), per_tap_dw_ref(g, x, k, True), dtype)
+
+
+@dw_prop
+def test_constant_field_is_dwconv_bitwise(n, c, h, w, k, dtype, seed):
+    # Gate criterion 1 checks this at n = 1; the batch must not change it.
+    x, wt, _, _ = dw_arrays(3, c, h, w, k, dtype, seed)
+    field = np.broadcast_to(wt[..., None, None], (c, k, k, h, w)).copy()
+    assert np.array_equal(kernels.tvconv(x, field), kernels.dwconv(x, wt))

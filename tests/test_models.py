@@ -91,6 +91,26 @@ def test_forward_shapes_and_finite():
     assert np.all(np.isfinite(logits))
 
 
+def test_layer_norm_saves_no_activation():
+    # The backward rule rebuilds x-hat from the node's input, so the tape
+    # keeps two numbers per sample for each layer norm, not a second copy.
+    m = LayoutModel.create(tv_spec(), seed=1)
+    x = np.random.default_rng(0).normal(size=(4, 1, 32, 32))
+    norms = [n for n in ag._topo(m.loss(x, np.arange(4))) if n.op == "layer_norm"]
+    assert len(norms) == 9  # 7 in the body, one in each tvconv block's generator
+    for n in norms:
+        assert set(n.saved) == {"mean", "inv_std"}
+        assert all(v.shape == (len(n.value), 1, 1, 1) for v in n.saved.values())
+
+
+def test_negative_block_count_is_rejected():
+    spec = ModelSpec(stages=models._stages_parse("8:-1:depthwise:2"))
+    with pytest.raises(ValueError, match=r"stage 0: blocks must be >= 0, got -1"):
+        models.desk_arch(spec)
+    assert models.desk_arch(ModelSpec(stages=(StageSpec(8, 0, "depthwise", 2),)))[1] == (
+        "stem", "s0.t")
+
+
 def test_forward_rejects_wrong_shape():
     m = LayoutModel.create(dw_spec(), seed=1)
     with pytest.raises(ValueError, match="1, 32, 32"):
