@@ -302,7 +302,7 @@ def backward(loss: Node) -> dict[Node, np.ndarray]:
             if pg is None:
                 continue
             if parent.grad is None:
-                parent.grad = pg.copy()
+                parent.grad = pg  # no rule writes into the gradient it gets
             else:
                 parent.grad = parent.grad + pg
     return {n: n.grad for n in order if n.is_param and n.grad is not None}

@@ -352,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("eval", help="evaluate a checkpoint on a dataset")
     p.add_argument("--checkpoint", type=Path, default=None)
-    p.add_argument("--data", type=Path, default=None)
+    p.add_argument("--data", type=Path, default=None, dest="data.path")
     _add_common(p)
 
     p = subs.add_parser("count", help="analytic MACs/params for an arch file")
@@ -377,21 +377,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _flag_overrides(args: argparse.Namespace) -> list[str]:
-    """Command-specific flags become overrides, so flags beat --set."""
-    extra = []
-    for attr, key in (("checkpoint", "checkpoint"), ("data", "data.path"),
-                      ("arch", "arch"), ("seed", "seed"), ("tol", "tol"),
-                      ("instances", "instances"), ("name", "name")):
-        value = getattr(args, attr, None)
-        if value is not None:
-            extra.append(f"{key}={value}")
-    return extra
+    """Command-specific flags become overrides, so flags beat --set; each
+    flag's dest is the key it sets."""
+    return [f"{key}={value}" for key, value in vars(args).items()
+            if key in KNOWN_KEYS[args.command] and value is not None]
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (CliError, ValueError, OSError) as e:
+    except (CliError, ValueError, OSError, training.TrainingError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -21,6 +21,7 @@ the image center with zero fill; integral translations are exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -104,10 +105,10 @@ def _validate(spec: LayoutDatasetSpec) -> tuple:
     if spec.h % spec.grid or spec.w % spec.grid:
         raise ValueError(
             f"image size {spec.h}x{spec.w} must be divisible by grid {spec.grid}")
-    if spec.noise_std < 0:
-        raise ValueError(f"noise std must be >= 0, got {spec.noise_std}")
-    if spec.bg_amplitude < 0:
-        raise ValueError(f"background amplitude must be >= 0, got {spec.bg_amplitude}")
+    for name in ("noise_std", "bg_amplitude"):
+        value = getattr(spec, name)
+        if not 0 <= value < math.inf:  # false for nan too
+            raise ValueError(f"{name} must be finite and >= 0, got {value}")
     if spec.assignments is None:
         assignments = default_assignments(spec.grid, spec.classes)
     else:

@@ -37,11 +37,6 @@ class OpCheckResult:
     passed: bool
 
 
-def _weighted_sum(rng, node):
-    w = rng.uniform(0.5, 1.5, np.shape(node.value)) * rng.choice([-1.0, 1.0], np.shape(node.value))
-    return ag.ssum(ag.mul_const(node, w))
-
-
 def _gen_relu(rng):
     shape = (int(rng.integers(1, 3)), int(rng.integers(1, 4)), 3, 3)
     return {"x": rng.standard_normal(shape)}, lambda n: ag.relu(n["x"])
@@ -194,26 +189,15 @@ GENERATORS = {
 }
 
 
-def _relu_preacts(loss):
-    vals = []
-    seen = set()
-    stack = [loss]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if node.op == "relu":
-            vals.append(node.parents[0].value)
-        stack.extend(node.parents)
-    return vals
-
-
 def _build_loss(rng, params, build, scalar_already):
+    """(leaves, scalar loss, the fixed weighting of the op output or None)."""
     nodes = {name: ag.leaf(v, name=name, param=True) for name, v in params.items()}
     out = build(nodes)
-    loss = out if scalar_already else _weighted_sum(rng, out)
-    return nodes, loss
+    if scalar_already:
+        return nodes, out, None
+    shape = np.shape(out.value)
+    weight = rng.uniform(0.5, 1.5, shape) * rng.choice([-1.0, 1.0], shape)
+    return nodes, ag.ssum(ag.mul_const(out, weight)), weight
 
 
 def _well_conditioned(grads, floor=1e-3):
@@ -234,19 +218,15 @@ def check_op(op: str, rng: np.random.Generator, tol: float = 1e-5, eps: float = 
             drawn = gen(rng)
             params, build = drawn[0], drawn[1]
             scalar_already = len(drawn) > 2 and drawn[2]
-            nodes, loss = _build_loss(rng, params, build, scalar_already)
-            pre = _relu_preacts(loss)
+            nodes, loss, weight = _build_loss(rng, params, build, scalar_already)
+            pre = [n.parents[0].value for n in ag._topo(loss) if n.op == "relu"]
             grads = backward(loss)
             if all(np.abs(p).min() > 10 * eps for p in pre if p.size) and _well_conditioned(grads):
                 break
 
         def loss_value(arrs):
-            ns = {name: ag.leaf(v) for name, v in arrs.items()}
-            out2 = build(ns)
-            if scalar_already:
-                return float(out2.value)
-            # Reuse the exact weighting from the tape loss: mul_const saved it.
-            return float(_reuse_weight(loss, out2))
+            out2 = build({name: ag.leaf(v) for name, v in arrs.items()}).value
+            return float(out2 if weight is None else (out2 * weight).sum())
 
         for name in params:
             def f(arr, _name=name):
@@ -258,12 +238,6 @@ def check_op(op: str, rng: np.random.Generator, tol: float = 1e-5, eps: float = 
             rep = grad_check(grads[nodes[name]], num, tol=tol)
             worst = max(worst, rep.max_rel_err)
     return OpCheckResult(op, instances, worst, worst < tol)
-
-
-def _reuse_weight(tape_loss, out_node):
-    # tape_loss = sum(mul_const(out, w)); recover w and apply to the new out.
-    mul = tape_loss.parents[0]
-    return (out_node.value * mul.saved["arr"]).sum()
 
 
 def run_suite(seed: int = 0, tol: float = 1e-5, eps: float = 1e-6, instances: int = 100,

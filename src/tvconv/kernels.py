@@ -2,13 +2,16 @@
 
 All spatial kernels work on batched [n, c, h, w] arrays with zero "same"
 padding and odd square kernels; `pad_same` copies the input into the
-interior of a zeroed buffer. Depthwise and per-position convs add one
-kernel tap at a time in row-major (u, v) order: each tap is multiplied into
-one product buffer, allocated once per call, and added from there. The
-dense conv and its two gradients are one GEMM each over an im2col matrix.
-The bit-exact contracts hold by sharing a path: a single-channel dense conv
-runs `dwconv`, and a weight field that is constant over positions makes
-`tvconv` add the same taps in the same order as `dwconv`.
+interior of a zeroed buffer. The per-position conv adds one kernel tap at
+a time in row-major (u, v) order: each tap is multiplied into one product
+buffer, allocated once per call, and added from there. The dense conv and
+its two gradients are one GEMM each over an im2col matrix. The bit-exact
+contracts hold by sharing a path: `dwconv` is `tvconv` on a field whose
+position axes have length 1, so a weight field that is constant over
+positions gives the depthwise output by construction, and a single-channel
+dense conv runs `dwconv`. The depthwise gradients keep their own loops: a
+flipped-filter `dwconv` for the input and a reduction over positions for
+the weight, both faster than the per-position gradients at one filter.
 
 Layer norm returns only its per-sample moments next to its output, and the
 tape saves those two [n,1,1,1] arrays, not the normalized activation; the
@@ -32,16 +35,9 @@ def pad_same(x: np.ndarray, k: int) -> np.ndarray:
 
 
 def dwconv(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Depthwise conv: x [n,c,h,w], w [c,k,k] -> [n,c,h,w]."""
-    n, c, h, ww = x.shape
-    k = w.shape[-1]
-    xp = pad_same(x, k)
-    out, prod = np.zeros_like(x), np.empty_like(x)
-    for u in range(k):
-        for v in range(k):
-            np.multiply(w[:, u, v][:, None, None], xp[:, :, u : u + h, v : v + ww], out=prod)
-            out += prod
-    return out
+    """Depthwise conv: x [n,c,h,w], w [c,k,k] -> [n,c,h,w]; `tvconv` with a
+    field that is constant over positions."""
+    return tvconv(x, w[..., None, None])
 
 
 def dwconv_dx(g: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -88,7 +84,8 @@ def conv_dw(g: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
 
 
 def tvconv(x: np.ndarray, w5: np.ndarray) -> np.ndarray:
-    """Per-position depthwise conv: x [n,c,h,w], w5 [c,k,k,h,w] -> [n,c,h,w]."""
+    """Per-position depthwise conv: x [n,c,h,w], w5 [c,k,k,h,w] -> [n,c,h,w];
+    w5's two position axes may also be 1 (one filter for every position)."""
     n, c, h, ww = x.shape
     k = w5.shape[1]
     xp = pad_same(x, k)

@@ -199,6 +199,7 @@ class LayoutModel:
             raise ValueError(
                 f"expected input [n, {want[0]}, {want[1]}, {want[2]}], "
                 f"got {x.shape}")
+        check_finite(x)
         leaves = self.leaves
 
         def lnr(node, prefix):
@@ -250,6 +251,13 @@ class LayoutModel:
         fields when frozen."""
         with ag.no_tape():
             return self.forward(x).value
+
+
+def check_finite(x: np.ndarray) -> None:
+    """Reject a batch [n, ...] that holds a nan or inf, naming the first bad image."""
+    if not np.isfinite(x).all():
+        bad = ~np.isfinite(x.reshape(len(x), -1)).all(axis=1)
+        raise ValueError(f"image {int(np.argmax(bad))} has a non-finite value")
 
 
 # --- analytic cost ------------------------------------------------------------

@@ -14,13 +14,14 @@ lr=0 is permitted as a deliberate no-op probe of the loop.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import autograd as ag
 from . import data as data_mod
-from .models import LayoutModel
+from .models import LayoutModel, check_finite
 from .seeding import rng_for
 
 
@@ -41,15 +42,18 @@ class TrainConfig:
     augment_translate: int = 0   # max |pixel shift| applied per presentation
 
     def __post_init__(self):
-        if self.lr < 0:
-            raise ValueError(f"lr must be >= 0, got {self.lr}")
+        for name in ("lr", "weight_decay"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:  # false for nan too
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("epochs must be >= 0 and batch_size >= 1")
         for ep, div in self.lr_drops:
-            if div <= 0:
-                raise ValueError(f"lr divisor at epoch {ep} must be > 0, got {div}")
+            if not 0 < div < math.inf:
+                raise ValueError(f"lr_drops divisor at epoch {ep} must be finite and > 0, "
+                                 f"got {div}")
         if self.augment_translate < 0:
             raise ValueError("augment_translate must be >= 0")
 
@@ -90,6 +94,9 @@ class TrainResult:
 
 def evaluate(model: LayoutModel, x: np.ndarray, y: np.ndarray,
              batch_size: int = 128) -> float:
+    if len(y) == 0:
+        raise ValueError("cannot evaluate on an empty split")
+    check_finite(x)  # names a bad image by its index in the split, not the batch
     hits = 0
     for start in range(0, len(y), batch_size):
         logits = model.predict(x[start:start + batch_size])
@@ -102,6 +109,7 @@ def train(model: LayoutModel, dataset, cfg: TrainConfig) -> TrainResult:
     x_te, y_te = dataset.test_x, dataset.test_y
     if len(y_tr) == 0:
         raise TrainingError("training split is empty")
+    check_finite(x_tr)
     if cfg.augment_translate > 0:
         # the held-out split sees one fixed draw of the same perturbation
         x_te, _ = data_mod.random_translations(

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from tvconv import autograd as ag
+from tvconv import models
 from tvconv.autograd import GradError, Node, backward, finite_diff_grad, grad_check
+from tvconv.gradsuite import run_suite
 from tvconv.tensor import Tensor
 
 
@@ -67,6 +69,25 @@ class TestBackwardContract:
         loss = ag.ssum(x)
         backward(loss)
         np.testing.assert_array_equal(loss.grad, 1.0)
+
+    @pytest.mark.parametrize("op", ["tvconv", "depthwise"])
+    def test_rules_never_write_into_their_gradient(self, op, monkeypatch):
+        # backward hands a gradient on without copying it, so `add` gives
+        # both parents one array and `reshape` a view of its child's.
+        def read_only(rule):
+            def wrapped(n, g):
+                if isinstance(g, np.ndarray):  # scale, mul_const: numpy scalars
+                    g.flags.writeable = False
+                return rule(n, g)
+            return wrapped
+
+        for name, rule in list(ag._RULES.items()):
+            monkeypatch.setitem(ag._RULES, name, read_only(rule))
+        assert all(r.passed for r in run_suite(seed=1, instances=2))
+        model = models.LayoutModel.create(models.default_model_spec(op), seed=0)
+        x = np.random.default_rng(0).standard_normal((2, 1, 32, 32))
+        grads = backward(model.loss(x, [0, 1]))
+        assert len(grads) == len(model.params)
 
     def test_non_scalar_loss_rejected(self):
         x = ag.leaf(np.ones(3), param=True)

@@ -267,9 +267,20 @@ def test_spec_from_kv_reads_false_bool():
     (["gradcheck", "--set", "eps=0"], "eps"),
     (["ablate", "init", *TINY_DATA, "--set", "seeds="], "seed"),
     (["ablate", "generator", *TINY_DATA, "--set", "grid=1,8"], "grid"),
+    (["synth", "--set", "data.noise_std=nan"], "noise_std must be finite"),
+    (["synth", "--set", "data.bg_amplitude=nan"], "bg_amplitude must be finite"),
+    (["train", *TINY_DATA, "--set", "train.lr=nan"], "lr must be finite"),
+    (["train", *TINY_DATA, "--set", "train.lr=inf"], "lr must be finite"),
+    (["train", *TINY_DATA, "--set", "train.weight_decay=-1"], "weight_decay"),
+    (["train", *TINY_DATA, "--set", "train.weight_decay=nan"], "weight_decay"),
+    (["train", *TINY_DATA, "--set", "train.drops=20:nan"], "lr_drops divisor"),
+    (["train", *TINY_DATA, "--set", "train.drops=20:inf"], "lr_drops divisor"),
+    (["train", *TINY_DATA, *TINY_TRAIN, "--set", "train.batch=4",
+      "--set", "train.lr=1e300"], "loss is not finite"),
 ], ids=["grid", "classes", "stride", "blocks", "affinity_channels", "even_k",
         "gen_depth", "stem", "operator_vs_stages", "epochs", "bool", "instances",
-        "eps", "seeds", "grid3"])
+        "eps", "seeds", "grid3", "noise_nan", "bg_nan", "lr_nan", "lr_inf",
+        "wd_negative", "wd_nan", "drop_nan", "drop_inf", "diverges"])
 def test_bad_value_is_one_error_line(args, names, tmp_path, capsys):
     code, out, err = run_cli([*args, "--out", tmp_path], capsys)
     assert code == 1

@@ -224,6 +224,21 @@ def test_frozen_predict_rejects_wrong_shape(op):
         m.predict(np.zeros((2, 1, 16, 16)))
 
 
+@pytest.mark.parametrize("frozen", [False, True], ids=["eager", "frozen"])
+@pytest.mark.parametrize("op", models.OPERATORS)
+def test_predict_rejects_non_finite_input(op, frozen):
+    m = LayoutModel.create(models.default_model_spec(op), seed=1)
+    if frozen:
+        m.freeze()
+    x = np.zeros((3, 1, 32, 32))
+    x[2, 0, 5, 7] = np.nan
+    with pytest.raises(ValueError, match="image 2 has a non-finite value"):
+        m.predict(x)
+    x[1, 0, 31, 0] = -np.inf
+    with pytest.raises(ValueError, match="image 1 has a non-finite value"):
+        m.predict(x)
+
+
 def test_freeze_detects_mutation():
     m = LayoutModel.create(tv_spec(), seed=2)
     x = np.zeros((1, 1, 32, 32))

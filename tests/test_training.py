@@ -171,6 +171,18 @@ def test_evaluate_matches_manual_accuracy():
     assert acc == manual
 
 
+def test_bad_splits_are_rejected():
+    m, ds = toy_model(), toy_blobs(n=8)
+    with pytest.raises(ValueError, match="empty split"):
+        training.evaluate(m, ds.test_x[:0], ds.test_y[:0])
+    ds.test_x[5, 0, 3, 3] = np.inf   # image 1 of the second batch
+    with pytest.raises(ValueError, match="image 5 has a non-finite value"):
+        training.evaluate(m, ds.test_x, ds.test_y, batch_size=4)
+    ds.train_x[6, 0, 0, 0] = np.nan  # named by split index, not shuffled batch
+    with pytest.raises(ValueError, match="image 6 has a non-finite value"):
+        training.train(m, ds, cfg())
+
+
 def test_freeze_does_not_change_metric():
     ds = toy_blobs()
     m = toy_model(op="tvconv")
