@@ -13,7 +13,8 @@ The package splits into layers that can be used independently:
   and a reverse-mode tape over them.
 - `operator`: the weight generator, the per-position convolution with its
   loop-nest oracle, parameter-count arithmetic, and the freeze/cache
-  lifecycle.
+  lifecycle, whose guard compares every parameter's raw bytes with a
+  snapshot taken at freeze.
 - `costmodel`: analytic MACs and parameter counts for whole block chains,
   including a mobilenet-style reference builder and an on-disk arch format.
 - `data`: a synthetic layout-classification task where position carries the

@@ -13,8 +13,10 @@ blocks begin near identity and gradients flow through the skip even when a hot
 momentum step would otherwise kill every relu in the branch (how the
 unnormalized variant dies on some seeds). The spatial op is a shared depthwise
 filter or the per-position variant, which is bound to its feature-map size and
-carries a single-layer cache/freeze object, so a trained model serves frozen
-inference with staleness checks.
+caches its weight field at freeze. `freeze` snapshots the raw bytes of every
+parameter: each per-position layer guards its own, the model the rest, so
+frozen `predict` refuses to serve after any bit of any parameter changed and
+names the parameter.
 
 Parameters live in one ordered name -> array dict. The arrays are shared
 (never copied) with the per-position layer objects and with the tape leaves,
@@ -32,8 +34,8 @@ import numpy as np
 from . import autograd as ag
 from . import report
 from .costmodel import BODY_OPS, ArchSpec, BlockSpec, chain_cost, check_arch
-from .operator import (GeneratorParams, TVConvLayer, generator_field,
-                       init_affinity_from_stats)
+from .operator import (GeneratorParams, StateError, TVConvLayer, check_unchanged,
+                       generator_field, init_affinity_from_stats, raw_bytes)
 from .seeding import rng_for
 from .tensor import Tensor, load_tensor, save_tensor
 
@@ -130,6 +132,8 @@ class LayoutModel:
         self.tv_layers = tv_layers
         self.leaves = {name: ag.leaf(arr, name=name, param=True)
                        for name, arr in params.items()}
+        self._guarded: dict[str, np.ndarray] = {}   # set by freeze
+        self._frozen_bytes: tuple | None = None
 
     @classmethod
     def create(cls, spec: ModelSpec, seed: int = 0,
@@ -171,9 +175,8 @@ class LayoutModel:
                 else:
                     aff = init_affinity_from_stats(
                         stats_images, spec.affinity_channels, hi, wi).values
-                layer = TVConvLayer(aff, gen, hi, wi)
-                params[f"{p}.tv.aff"] = layer.affinity
-                for name, arr in gen.arrays():
+                layer = TVConvLayer(aff, gen, hi, wi, name=f"{p}.tv")
+                for name, arr in layer.arrays():
                     params[f"{p}.tv.{name}"] = arr
                 tv_layers[f"{p}.tv"] = layer
             ln(f"{p}.sp.ln", c)
@@ -241,14 +244,30 @@ class LayoutModel:
 
     # --- frozen inference -----------------------------------------------------
 
+    @property
+    def frozen(self) -> bool:
+        return self._frozen_bytes is not None
+
     def freeze(self) -> "LayoutModel":
+        """Cache every per-position field and snapshot the raw bytes of the
+        parameters no per-position layer guards."""
+        if self.frozen:
+            raise StateError("model is already frozen")
         for layer in self.tv_layers.values():
             layer.freeze()
+        owned = {id(arr) for layer in self.tv_layers.values()
+                 for _, arr in layer.arrays()}
+        self._guarded = {name: arr for name, arr in self.params.items()
+                         if id(arr) not in owned}
+        self._frozen_bytes = raw_bytes(self._guarded.items())
         return self
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Logits from the forward walk with recording off; uses cached
-        fields when frozen."""
+        fields when frozen, after verifying no parameter changed."""
+        if self.frozen:
+            check_unchanged(self._guarded, self._frozen_bytes,
+                            raw_bytes(self._guarded.items()))
         with ag.no_tape():
             return self.forward(x).value
 

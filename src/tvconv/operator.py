@@ -16,7 +16,6 @@ Shapes:
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -33,6 +32,22 @@ class StateError(RuntimeError):
 
 class StaleCacheError(StateError):
     """Parameters changed after freeze; the cached weight field is stale."""
+
+
+def raw_bytes(arrays) -> tuple:
+    """Each array's shape and raw bytes, from (name, array) pairs. Two results
+    are equal only if every bit is, so -0.0 differs from 0.0 and a nan that
+    was there at freeze equals itself."""
+    return tuple((arr.shape, arr.tobytes()) for _, arr in arrays)
+
+
+def check_unchanged(names, frozen: tuple, now: tuple) -> None:
+    """Raise StaleCacheError naming the first array whose `raw_bytes` entry
+    differs between freeze and now; `names` lists the arrays in that order."""
+    if now != frozen:
+        name = next(name for name, a, b in zip(names, frozen, now) if a != b)
+        raise StaleCacheError(f"parameter '{name}' changed since freeze; "
+                              "cached weights are stale")
 
 
 @dataclass
@@ -286,12 +301,15 @@ class TVConvLayer:
 
     Starts in training mode, where weights() regenerates the field from the
     current parameters. freeze() generates once, caches the field with a
-    fingerprint of the parameter bytes, and switches to frozen mode where only
-    infer_cached() is legal. Mutating any parameter after freeze makes the
-    cache stale, which infer_cached detects and refuses.
+    snapshot of every parameter's raw bytes, and switches to frozen mode where
+    only infer_cached() is legal. Changing any bit of any parameter after
+    freeze makes the cache stale, which cached_field() detects by comparing
+    bytes and refuses, naming the array. `name`, if given, prefixes the array
+    names in that message (a model passes the prefix of its parameter names).
     """
 
-    def __init__(self, affinity: np.ndarray, gen: GeneratorParams, h: int, w: int):
+    def __init__(self, affinity: np.ndarray, gen: GeneratorParams, h: int, w: int,
+                 name: str = ""):
         affinity = np.asarray(affinity)
         if affinity.shape != (gen.affinity_channels, h, w):
             raise ValueError(
@@ -303,8 +321,9 @@ class TVConvLayer:
         self.h = h
         self.w = w
         self.mode = "training"
+        self.name = name
         self._cache: WeightField | None = None
-        self._frozen_tag: str | None = None
+        self._frozen_bytes: tuple | None = None
 
     @classmethod
     def create(
@@ -341,17 +360,12 @@ class TVConvLayer:
         return self.mode == "frozen"
 
     def arrays(self):
-        yield "affinity", self.affinity
+        yield "aff", self.affinity
         yield from self.gen.arrays()
 
-    def fingerprint(self) -> str:
-        """Content hash of all parameters; detects post-freeze mutation."""
-        dig = hashlib.sha256()
-        for name, arr in self.arrays():
-            dig.update(name.encode())
-            dig.update(str(arr.shape).encode())
-            dig.update(np.ascontiguousarray(arr).tobytes())
-        return dig.hexdigest()
+    def fingerprint(self) -> tuple:
+        """`raw_bytes` of every parameter, in `arrays()` order."""
+        return raw_bytes(self.arrays())
 
     def weights(self) -> WeightField:
         if self.frozen:
@@ -362,7 +376,7 @@ class TVConvLayer:
         if self.frozen:
             raise StateError("layer is already frozen")
         self._cache = generate_weights(AffinityMaps(self.affinity), self.gen)
-        self._frozen_tag = self.fingerprint()
+        self._frozen_bytes = self.fingerprint()
         self.mode = "frozen"
         return self
 
@@ -370,8 +384,8 @@ class TVConvLayer:
         """The frozen weight field, after verifying no parameter changed."""
         if not self.frozen:
             raise StateError("layer is in training mode; call freeze() first")
-        if self.fingerprint() != self._frozen_tag:
-            raise StaleCacheError("parameters changed since freeze; cached weights are stale")
+        names = (f"{self.name}.{n}" if self.name else n for n, _ in self.arrays())
+        check_unchanged(names, self._frozen_bytes, self.fingerprint())
         return self._cache
 
     def infer_cached(self, x: Tensor) -> Tensor:

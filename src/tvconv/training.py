@@ -123,20 +123,22 @@ def train(model: LayoutModel, dataset, cfg: TrainConfig) -> TrainResult:
         step_cfg = replace(cfg, lr=effective_lr(cfg, epoch))
         order = shuffle.permutation(n)
         total = 0.0
-        for b, start in enumerate(range(0, n, cfg.batch_size)):
-            idx = order[start:start + cfg.batch_size]
-            xb, yb = x_tr[idx], y_tr[idx]
-            if aug is not None:
-                xb, _ = data_mod.random_translations(
-                    xb, cfg.augment_translate, aug)
-            loss_node = model.loss(xb, yb)
-            loss = float(loss_node.value)
-            if not np.isfinite(loss):
-                raise TrainingError(
-                    f"loss is not finite ({loss}) at epoch {epoch}, batch {b}")
-            grads = {node.name: g for node, g in ag.backward(loss_node).items()}
-            sgd_step(model.params, grads, state, step_cfg)
-            total += loss * len(idx)
+        # a diverging step overflows silently; the finite-loss check reports it
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for b, start in enumerate(range(0, n, cfg.batch_size)):
+                idx = order[start:start + cfg.batch_size]
+                xb, yb = x_tr[idx], y_tr[idx]
+                if aug is not None:
+                    xb, _ = data_mod.random_translations(
+                        xb, cfg.augment_translate, aug)
+                loss_node = model.loss(xb, yb)
+                loss = float(loss_node.value)
+                if not np.isfinite(loss):
+                    raise TrainingError(
+                        f"loss is not finite ({loss}) at epoch {epoch}, batch {b}")
+                grads = {node.name: g for node, g in ag.backward(loss_node).items()}
+                sgd_step(model.params, grads, state, step_cfg)
+                total += loss * len(idx)
         acc = evaluate(model, x_te, y_te)
         result.history.append((epoch, total / n, acc))
     return result

@@ -403,21 +403,33 @@ def test_ablate_unknown_name_rejected(tmp_path, capsys):
 # --- packaging ----------------------------------------------------------------
 
 
-def test_console_script_runs(tmp_path):
-    # `python -m tvconv` makes the same call as the installed `tvconv`
-    # wrapper; the child imports the tree under test, not an installed copy.
-    arch_file = tmp_path / "arch.txt"
-    write_arch(arch_file)
+def run_module(args, cwd):
+    """`python -m tvconv` in a child that imports the tree under test, not an
+    installed copy."""
     src = str(Path(tvconv.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "tvconv", "count", str(arch_file),
-         "--out", str(tmp_path)],
-        capture_output=True, text=True, env=env, cwd=tmp_path)
+    return subprocess.run([sys.executable, "-m", "tvconv", *map(str, args)],
+                          capture_output=True, text=True, env=env, cwd=cwd)
+
+
+def test_console_script_runs(tmp_path):
+    # `python -m tvconv` makes the same call as the installed `tvconv` wrapper
+    arch_file = tmp_path / "arch.txt"
+    write_arch(arch_file)
+    proc = run_module(["count", arch_file, "--out", tmp_path], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert "total_macs=34816" in proc.stdout
+
+
+def test_diverging_run_prints_only_its_error(tmp_path):
+    # numpy's floating-point warnings reach a real stderr, which pytest's
+    # in-process capture would hide, so the run goes through a child process
+    proc = run_module(["train", *TINY_DATA, *TINY_TRAIN, "--set", "train.batch=4",
+                       "--set", "train.lr=1e300", "--out", tmp_path], tmp_path)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: loss is not finite (nan) at epoch 0, batch 1\n"
 
 
 def test_console_script_target_is_cli_main():

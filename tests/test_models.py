@@ -4,6 +4,7 @@ totals, matched-budget twin construction, freeze consistency,
 checkpoint round-trips and the checks load_model makes at that boundary."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -246,6 +247,33 @@ def test_freeze_detects_mutation():
     m.params["s0.b0.tv.aff"][0, 0, 0] += 1.0
     with pytest.raises(StaleCacheError):
         m.predict(x)
+
+
+GUARDED = [(op, name) for op in models.OPERATORS
+           for name in LayoutModel.create(models.default_model_spec(op)).params]
+
+
+@pytest.mark.parametrize("op, name", GUARDED,
+                         ids=[f"{op}-{name}" for op, name in GUARDED])
+def test_freeze_guards_every_parameter(op, name):
+    m = LayoutModel.create(models.default_model_spec(op), seed=4)
+    x = np.random.default_rng(4).normal(size=(2, 1, 32, 32))
+    m.freeze()
+    served = m.predict(x)
+    arr = m.params[name]
+    original = arr.flat[0]
+    arr.flat[0] = original + 0.5
+    with pytest.raises(StaleCacheError, match=f"^parameter '{re.escape(name)}' changed"):
+        m.predict(x)
+    arr.flat[0] = original
+    assert np.array_equal(m.predict(x), served)
+
+
+@pytest.mark.parametrize("op", models.OPERATORS)
+def test_model_freeze_twice_rejected(op):
+    m = LayoutModel.create(models.default_model_spec(op), seed=2).freeze()
+    with pytest.raises(operator.StateError, match="already frozen"):
+        m.freeze()
 
 
 def test_predict_unfrozen_uses_tape_path():

@@ -282,6 +282,55 @@ class TestLayerCache:
         with pytest.raises(StateError, match="training"):
             self.make_layer().cached_field()
 
+    @pytest.mark.parametrize("which", ["gamma", "beta"])
+    def test_negative_zero_detected(self, which):
+        # -0.0 == 0.0, so a value comparison would serve the stale field
+        layer = self.make_layer()
+        arr = getattr(layer.gen.hidden[0], which)
+        arr[0] = 0.0
+        layer.freeze()
+        before = arr.copy()
+        arr[0] = -0.0
+        assert np.array_equal(arr, before)
+        with pytest.raises(StaleCacheError, match=f"'h0.{which}'"):
+            layer.cached_field()
+
+    def test_nan_written_after_freeze_detected(self):
+        layer = self.make_layer()
+        layer.freeze()
+        layer.gen.w_out[0, 0, 0, 0] = np.nan
+        with pytest.raises(StaleCacheError, match="'out.w'"):
+            layer.cached_field()
+
+    def test_nan_present_at_freeze_still_serves(self):
+        layer = self.make_layer()
+        layer.gen.w_out[-1, 0, 0, 0] = np.nan
+        layer.freeze()
+        field = layer.cached_field()
+        assert np.isnan(field.values).any()
+        assert layer.cached_field() is field
+
+    def test_error_names_the_changed_array(self):
+        names = [name for name, _ in self.make_layer().arrays()]
+        assert names == ["aff", "h0.w", "h0.gamma", "h0.beta", "out.w"]
+        for name in names:
+            layer = self.make_layer()
+            layer.freeze()
+            dict(layer.arrays())[name].flat[-1] += 1.0
+            with pytest.raises(StaleCacheError, match=f"^parameter '{name}' changed"):
+                layer.cached_field()
+
+    def test_fingerprint_called_once_per_cached_field(self, monkeypatch):
+        layer = self.make_layer()
+        layer.freeze()
+        calls = []
+        original = TVConvLayer.fingerprint
+        monkeypatch.setattr(TVConvLayer, "fingerprint",
+                            lambda self: calls.append(1) or original(self))
+        layer.infer_cached(Tensor(np.ones((2, 5, 5))))
+        layer.cached_field()
+        assert len(calls) == 2
+
 
 class TestAffinityInit:
     def test_constant(self):
