@@ -134,15 +134,19 @@ def _tvconv_bwd(n, g):
     return dx, dw5.reshape(wf.value.shape)
 
 
-def layer_norm(x: Node, gamma: Node, beta: Node, eps: float = 1e-5) -> Node:
-    y, mean, inv_std = kernels.layer_norm_fwd(x.value, gamma.value, beta.value, eps)
-    return Node("layer_norm", y, (x, gamma, beta), {"mean": mean, "inv_std": inv_std})
+def layer_norm(x: Node, gamma: Node, beta: Node, eps: float = 1e-5,
+               relu: bool = False) -> Node:
+    """Layer norm, and with `relu` the ReLU after it, as one node."""
+    y, mean, inv_std = kernels.layer_norm_fwd(x.value, gamma.value, beta.value, eps, relu=relu)
+    return Node("layer_norm", y, (x, gamma, beta),
+                {"mean": mean, "inv_std": inv_std, "relu": relu})
 
 
 @_rule("layer_norm")
 def _layer_norm_bwd(n, g):
     x, gamma, _ = n.parents
-    return kernels.layer_norm_bwd(g, x.value, n.saved["mean"], n.saved["inv_std"], gamma.value)
+    return kernels.layer_norm_bwd(g, x.value, n.saved["mean"], n.saved["inv_std"], gamma.value,
+                                  n.value if n.saved["relu"] else None)
 
 
 def linear(x: Node, w: Node, b: Node) -> Node:

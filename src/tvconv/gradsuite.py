@@ -7,12 +7,13 @@ against central finite differences.
 
 Two kinds of draws are rejected and re-drawn, because they poison the
 finite-difference oracle without indicating a wrong derivative: instances
-whose ReLU preactivations land within 10*eps of the kink (the perturbation
-would cross it), and instances where random cancellation leaves a nonzero
-gradient element below 1e-3 in magnitude (float64 roundoff in the central
-difference is ~1e-8 at eps=1e-6, so such elements cannot be resolved to the
-1e-5 relative tolerance no matter how correct the rule is). Exact-zero
-elements are fine, both routes agree on those.
+whose ReLU preactivations, those of a ReLU fused into a layer norm included,
+land within 10*eps of the kink (the perturbation would cross it), and
+instances where random cancellation leaves a nonzero gradient element below
+1e-3 in magnitude (float64 roundoff in the central difference is ~1e-8 at
+eps=1e-6, so such elements cannot be resolved to the 1e-5 relative tolerance
+no matter how correct the rule is). Exact-zero elements are fine, both routes
+agree on those.
 
 The full operator layer (generator + per-position apply) is checked end to
 end as its own entry.
@@ -208,6 +209,15 @@ def _well_conditioned(grads, floor=1e-3):
     return True
 
 
+def _relu_input(n: ag.Node) -> np.ndarray:
+    """What a ReLU node, or the ReLU fused into a layer norm node, clamps."""
+    if n.op == "relu":
+        return n.parents[0].value
+    x, gamma, beta = (p.value for p in n.parents)
+    xhat = (x - n.saved["mean"]) * n.saved["inv_std"]
+    return xhat * gamma[:, None, None] + beta[:, None, None]
+
+
 def check_op(op: str, rng: np.random.Generator, tol: float = 1e-5, eps: float = 1e-6,
              instances: int = 100) -> OpCheckResult:
     gen = GENERATORS[op]
@@ -219,7 +229,8 @@ def check_op(op: str, rng: np.random.Generator, tol: float = 1e-5, eps: float = 
             params, build = drawn[0], drawn[1]
             scalar_already = len(drawn) > 2 and drawn[2]
             nodes, loss, weight = _build_loss(rng, params, build, scalar_already)
-            pre = [n.parents[0].value for n in ag._topo(loss) if n.op == "relu"]
+            pre = [_relu_input(n) for n in ag._topo(loss)
+                   if n.op == "relu" or n.op == "layer_norm" and n.saved["relu"]]
             grads = backward(loss)
             if all(np.abs(p).min() > 10 * eps for p in pre if p.size) and _well_conditioned(grads):
                 break

@@ -5,17 +5,21 @@ padding and odd square kernels; `pad_same` copies the input into the
 interior of a zeroed buffer. The per-position conv adds one kernel tap at
 a time in row-major (u, v) order: each tap is multiplied into one product
 buffer, allocated once per call, and added from there. The dense conv and
-its two gradients are one GEMM each over an im2col matrix. The bit-exact
-contracts hold by sharing a path: `dwconv` is `tvconv` on a field whose
-position axes have length 1, so a weight field that is constant over
-positions gives the depthwise output by construction, and a single-channel
-dense conv runs `dwconv`. The depthwise gradients keep their own loops: a
-flipped-filter `dwconv` for the input and a reduction over positions for
-the weight, both faster than the per-position gradients at one filter.
+its two gradients are one GEMM each over an im2col matrix, which at k = 1 is
+a reshape of the input. The bit-exact contracts hold by sharing a path:
+`dwconv` is `tvconv` on a field whose position axes have length 1, so a
+weight field that is constant over positions gives the depthwise output by
+construction, and a single-channel dense conv runs `dwconv`. The depthwise
+gradients keep their own loops: a flipped-filter `dwconv` for the input and
+a reduction over positions for the weight, both faster than the per-position
+gradients at one filter.
 
 Layer norm returns only its per-sample moments next to its output, and the
 tape saves those two [n,1,1,1] arrays, not the normalized activation; the
 backward rule rebuilds x-hat from the input, which the tape already holds.
+With `relu` the forward also clamps its own output in place, so a norm and
+the ReLU after it are one op with one output array, and the backward masks
+the incoming gradient by that output.
 """
 
 from __future__ import annotations
@@ -56,8 +60,11 @@ def dwconv_dw(g: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
 
 
 def _im2col(x: np.ndarray, k: int) -> np.ndarray:
-    """[n, ci, h, w] -> [n, ci*k*k, h*w]; row (c, u, v) holds tap (u, v) of channel c."""
+    """[n, ci, h, w] -> [n, ci*k*k, h*w]; row (c, u, v) holds tap (u, v) of channel c.
+    At k = 1 that is a reshape: a view of contiguous input, one copy of a strided one."""
     n, ci, h, w = x.shape
+    if k == 1:
+        return x.reshape(n, ci, h * w)
     taps = sliding_window_view(pad_same(x, k), (k, k), axis=(2, 3))  # [n, ci, h, w, k, k]
     return taps.transpose(0, 1, 4, 5, 2, 3).reshape(n, ci * k * k, h * w)
 
@@ -120,35 +127,53 @@ def tvconv_dw(g: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
     return dw
 
 
-def layer_norm_fwd(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float):
-    """Per-sample normalization over (c,h,w), per-channel affine.
+def layer_norm_fwd(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float,
+                   relu: bool = False):
+    """Per-sample normalization over (c,h,w), per-channel affine, and with
+    `relu` the ReLU that follows it, applied in place to the fresh output.
 
-    Returns (y, mean, inv_std), the last two [n,1,1,1]; they and x are all
-    the backward rule needs. The variance is taken about the mean, not as
-    E[x^2] - E[x]^2, which cancels.
+    Returns (y, mean, inv_std), the last two [n,1,1,1]; they, x and y are all
+    the backward rule needs. The mean is `np.add.reduce` over the [n, c*h*w]
+    view (the same bits as `x.mean(axis=(1, 2, 3))`, without its wrapper), and
+    the variance is taken about it, not as E[x^2] - E[x]^2, which cancels.
     """
-    mean = x.mean(axis=(1, 2, 3), keepdims=True)
+    flat = x.reshape(len(x), -1)
+    m = flat.shape[1]
+    mean = (np.add.reduce(flat, axis=1) / m)[:, None, None, None]
     y = x - mean
     flat = y.reshape(len(x), -1)
-    var = np.einsum("ij,ij->i", flat, flat)[:, None, None, None] / flat.shape[1]
+    var = np.einsum("ij,ij->i", flat, flat)[:, None, None, None] / m
     inv_std = 1.0 / np.sqrt(var + eps)
     y *= inv_std * gamma[:, None, None]
     y += beta[:, None, None]
+    if relu:
+        np.maximum(y, 0, out=y)
     return y, mean, inv_std
 
 
-def layer_norm_bwd(g, x, mean, inv_std, gamma):
-    xhat = x - mean
-    xhat *= inv_std
-    dgamma = np.einsum("nchw,nchw->c", g, xhat)
-    dbeta = g.sum(axis=(0, 2, 3))
-    dx = g * gamma[:, None, None]
-    flat, xflat = dx.reshape(len(g), -1), xhat.reshape(len(g), -1)
-    xhat *= np.einsum("ij,ij->i", flat, xflat)[:, None, None, None] / flat.shape[1]
-    xhat += flat.mean(axis=1)[:, None, None, None]
-    dx -= xhat
-    dx *= inv_std
-    return dx, dgamma, dbeta
+def layer_norm_bwd(g, x, mean, inv_std, gamma, y=None):
+    """Gradients (dx, dgamma, dbeta); pass the fused forward's output as `y`
+    to mask `g` by its ReLU first. `g` is never written.
+
+    Everything reduces through the per-(sample, channel) sums S1 = sum g and
+    S2 = sum g * x-hat, the latter one batched matmul against x - mean times
+    inv_std: dbeta and dgamma sum them over the batch, and the per-sample
+    correction is their product with gamma.
+    """
+    if y is not None:
+        g = np.multiply(g, y > 0)  # y > 0 exactly where the norm's output was
+    n, c = g.shape[:2]
+    m = g[0].size
+    xc = x - mean
+    g3 = g.reshape(n, c, -1)
+    s1 = np.add.reduce(g3, axis=2)
+    s2 = np.matmul(g3[:, :, None, :], xc.reshape(n, c, -1, 1))[:, :, 0, 0] * inv_std[:, :, 0, 0]
+    scale = inv_std * gamma[:, None, None]
+    dx = np.multiply(g, scale, out=g) if y is not None else g * scale  # the mask is a copy
+    xc *= inv_std * inv_std * (s2 @ gamma)[:, None, None, None] / m
+    xc += inv_std * (s1 @ gamma)[:, None, None, None] / m
+    dx -= xc
+    return dx, s2.sum(axis=0), s1.sum(axis=0)
 
 
 def downsample_mean(x: np.ndarray, oh: int, ow: int) -> np.ndarray:

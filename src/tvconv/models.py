@@ -6,12 +6,13 @@ chain: a plain k x k `stem`, then per stage a plain 1x1 transition `s{i}.t`
 entered with the stage's stride and the stage's inverted-residual blocks
 `s{i}.b{j}` (expand 1, stride 1). `create` and `forward` each walk it in one
 loop; `model_macs` prices it with the cost model's `chain_cost`. A plain block
-is conv -> layer norm -> relu, as in the weight generator. A residual block
-adds spatial op -> norm -> relu -> pointwise -> norm onto its input; the
-projection stays linear and its norm gain starts small (BRANCH_GAIN), so
-blocks begin near identity and gradients flow through the skip even when a hot
-momentum step would otherwise kill every relu in the branch (how the
-unnormalized variant dies on some seeds). The spatial op is a shared depthwise
+is conv -> layer norm + relu, as in the weight generator; a relu always runs
+fused into the norm before it, as one tape op. A residual block adds spatial
+op -> norm + relu -> pointwise -> norm onto its input; the projection stays
+linear and its norm gain starts small (BRANCH_GAIN), so blocks begin near
+identity and gradients flow through the skip even when a hot momentum step
+would otherwise kill every relu in the branch (how the unnormalized variant
+dies on some seeds). The spatial op is a shared depthwise
 filter or the per-position variant, which is bound to its feature-map size and
 caches its weight field at freeze. `freeze` snapshots the raw bytes of every
 parameter: each per-position layer guards its own, the model the rest, so
@@ -206,8 +207,8 @@ class LayoutModel:
         leaves = self.leaves
 
         def lnr(node, prefix):
-            return ag.relu(ag.layer_norm(node, leaves[f"{prefix}.g"],
-                                         leaves[f"{prefix}.b"]))
+            return ag.layer_norm(node, leaves[f"{prefix}.g"], leaves[f"{prefix}.b"],
+                                 relu=True)
 
         h = ag.constant(x)
         for p, b in self.chain:
@@ -279,6 +280,11 @@ def check_finite(x: np.ndarray) -> None:
         raise ValueError(f"image {int(np.argmax(bad))} has a non-finite value")
 
 
+def non_finite_param(params: dict[str, np.ndarray]) -> str | None:
+    """Name of the first parameter that holds a nan or inf, or None."""
+    return next((name for name, arr in params.items() if not np.isfinite(arr).all()), None)
+
+
 # --- analytic cost ------------------------------------------------------------
 
 def model_macs(spec: ModelSpec) -> tuple[int, int]:
@@ -321,7 +327,12 @@ def _stages_parse(text: str) -> tuple[StageSpec, ...]:
 
 
 def save_model(model: LayoutModel, path) -> None:
+    """Write the manifest and one file per parameter; a model with a
+    non-finite parameter is refused before anything is written."""
     out = Path(path)
+    bad = non_finite_param(model.params)
+    if bad is not None:
+        raise ValueError(f"parameter {bad} is not finite; not saving {out}")
     (out / "params").mkdir(parents=True, exist_ok=True)
     manifest = report.spec_kv(model.spec, stages=_stages_text)
     manifest["params"] = ",".join(model.params)
@@ -332,7 +343,8 @@ def save_model(model: LayoutModel, path) -> None:
 
 def load_model(path) -> LayoutModel:
     """Build the spec's skeleton with `create` and copy each saved array into
-    it in place, so the per-position layers keep aliasing the parameters."""
+    it in place, so the per-position layers keep aliasing the parameters.
+    A file with a wrong shape or a non-finite value is refused by name."""
     src = Path(path)
     source = str(src / "model.txt")
     manifest = report.parse_kv((src / "model.txt").read_text(), source)
@@ -350,5 +362,7 @@ def load_model(path) -> LayoutModel:
         if loaded.shape != arr.shape:
             raise ValueError(f"{file}: shape {loaded.shape} does not match "
                              f"the spec's {arr.shape}")
+        if not np.isfinite(loaded).all():
+            raise ValueError(f"{file}: holds a non-finite value")
         arr[...] = loaded
     return model

@@ -2,11 +2,11 @@
 
 The operator applies a different k x k filter at every spatial position of a
 fixed-size feature map. The filters are not stored directly: a small generator
-network runs over trainable affinity maps (repeated [conv -> layer norm ->
-relu] stages, then a plain output conv) and emits all c*k*k taps per position
-as a weight field. Generation happens once per weight update during training
-and exactly once after freezing, so steady-state inference cost matches a
-plain depthwise conv of the same shape.
+network runs over trainable affinity maps (repeated [conv -> layer norm +
+relu] stages, the relu fused into the norm's op, then a plain output conv)
+and emits all c*k*k taps per position as a weight field. Generation happens
+once per weight update during training and exactly once after freezing, so
+steady-state inference cost matches a plain depthwise conv of the same shape.
 
 Shapes:
     affinity maps  [c_A, h, w]
@@ -87,8 +87,9 @@ class HiddenLayer:
 class GeneratorParams:
     """Weights of the field generator.
 
-    `depth` hidden stages of [conv -> layer norm -> relu] followed by one
-    plain output conv (no norm, activation, or bias) that emits c*k*k maps.
+    `depth` hidden stages of [conv -> layer norm + relu, one fused tape op]
+    followed by one plain output conv (no norm, activation, or bias) that
+    emits c*k*k maps.
     """
 
     hidden: list[HiddenLayer]
@@ -193,8 +194,7 @@ def generator_field(nodes: dict[str, ag.Node], gen: GeneratorParams) -> ag.Node:
     a = ag.reshape(aff, (1, c_a, h, w))
     for i in range(gen.depth):
         a = ag.conv(a, nodes[f"h{i}.w"])
-        a = ag.layer_norm(a, nodes[f"h{i}.gamma"], nodes[f"h{i}.beta"], gen.eps)
-        a = ag.relu(a)
+        a = ag.layer_norm(a, nodes[f"h{i}.gamma"], nodes[f"h{i}.beta"], gen.eps, relu=True)
     return ag.reshape(ag.conv(a, nodes["out.w"]), (gen.channels * gen.k * gen.k, h, w))
 
 

@@ -21,12 +21,12 @@ import numpy as np
 
 from . import autograd as ag
 from . import data as data_mod
-from .models import LayoutModel, check_finite
+from .models import LayoutModel, check_finite, non_finite_param
 from .seeding import rng_for
 
 
 class TrainingError(RuntimeError):
-    """Training aborted (non-finite loss or inconsistent shapes)."""
+    """Training aborted (non-finite loss or parameter, or inconsistent shapes)."""
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,12 @@ def evaluate(model: LayoutModel, x: np.ndarray, y: np.ndarray,
     check_finite(x)  # names a bad image by its index in the split, not the batch
     hits = 0
     for start in range(0, len(y), batch_size):
-        logits = model.predict(x[start:start + batch_size])
+        # a forward pass that overflows is reported below, naming the image
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            logits = model.predict(x[start:start + batch_size])
+        if not np.isfinite(logits).all():
+            bad = start + int(np.argmax(~np.isfinite(logits).all(axis=1)))
+            raise ValueError(f"image {bad} has non-finite logits (the model overflows)")
         hits += int((logits.argmax(axis=1) == y[start:start + batch_size]).sum())
     return hits / len(y)
 
@@ -139,6 +144,11 @@ def train(model: LayoutModel, dataset, cfg: TrainConfig) -> TrainResult:
                 grads = {node.name: g for node, g in ag.backward(loss_node).items()}
                 sgd_step(model.params, grads, state, step_cfg)
                 total += loss * len(idx)
+        # the last step of an epoch can overflow with no loss left to show it
+        bad = non_finite_param(model.params)
+        if bad is not None:
+            raise TrainingError(f"parameter {bad} is not finite after the last step "
+                                f"of epoch {epoch}")
         acc = evaluate(model, x_te, y_te)
         result.history.append((epoch, total / n, acc))
     return result

@@ -432,6 +432,17 @@ def test_diverging_run_prints_only_its_error(tmp_path):
     assert proc.stderr == "error: loss is not finite (nan) at epoch 0, batch 1\n"
 
 
+def test_run_that_overflows_on_its_last_step_saves_nothing(tmp_path):
+    # One step at lr 1e300 leaves finite parameters near 1e299 that overflow
+    # the evaluation: no accuracy read off nan logits, no model written.
+    proc = run_module(["train", *TINY_DATA, *TINY_TRAIN, "--set", "data.n_train=4",
+                       "--set", "train.batch=4", "--set", "train.lr=1e300",
+                       "--out", tmp_path], tmp_path)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: image 0 has non-finite logits (the model overflows)\n"
+    assert not (tmp_path / "model").exists()
+
+
 def test_console_script_target_is_cli_main():
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"

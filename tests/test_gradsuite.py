@@ -4,8 +4,11 @@ acceptance test runs the full 100-instance sweep)."""
 import numpy as np
 import pytest
 
+from tvconv import autograd as ag
+from tvconv import gradsuite
 from tvconv.autograd import registered_ops
 from tvconv.gradsuite import GENERATORS, run_suite
+from tvconv.operator import GeneratorParams, generator_field
 
 
 def test_every_registered_op_has_a_generator():
@@ -39,3 +42,18 @@ def test_deterministic_for_seed():
 def test_zero_instances_rejected():
     with pytest.raises(ValueError, match="instances must be >= 1, got 0"):
         run_suite(instances=0)
+
+
+def test_fused_relu_inputs_are_checked_for_kinks():
+    # A ReLU fused into a layer norm leaves no `relu` node on the tape; the
+    # kink check rebuilds what it clamps from the norm's saved moments.
+    gen = GeneratorParams.create(2, 3, affinity_channels=2, depth=2, width=3, seed=0)
+    nodes = {name: ag.leaf(arr) for name, arr in gen.arrays()}
+    nodes["affinity"] = ag.leaf(np.random.default_rng(0).standard_normal((2, 4, 5)))
+    tape = ag._topo(generator_field(nodes, gen))
+    fused = [n for n in tape if n.op == "layer_norm" and n.saved["relu"]]
+    assert len(fused) == gen.depth and not any(n.op == "relu" for n in tape)
+    for n in fused:
+        linear = ag.layer_norm(*n.parents, gen.eps).value
+        np.testing.assert_allclose(gradsuite._relu_input(n), linear, rtol=0, atol=1e-14)
+        assert np.array_equal(n.value, np.maximum(linear, 0))

@@ -4,7 +4,9 @@
 per-position kernels add one tap at a time into a reused product buffer, and
 layer norm keeps only its moments. The references here compute every output
 position as an explicit window sum (or scatter, for the input gradient) and
-the moments in two passes per sample. Shapes, kernel sizes and dtypes are
+the moments in two passes per sample. The ReLU that a layer norm can fuse
+must give the unfused output clamped, bit for bit, and mask the gradient
+where that output is positive. Shapes, kernel sizes and dtypes are
 drawn; the cases a shifted-window layout is most likely to get wrong (1×N and
 N×1 maps, k = 5 wider than the map, ci ≠ co, batch > 1, float32) are pinned
 as explicit examples.
@@ -12,6 +14,7 @@ as explicit examples.
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
@@ -113,6 +116,29 @@ def test_conv_dw_matches_window_sums(n, ci, co, h, w, k, dtype, seed):
     np.testing.assert_allclose(got, conv_dw_ref(g, x, k), rtol=0, atol=tol(dtype))
 
 
+def window_im2col(x, k):
+    """The general im2col: a window view of the padded input, transposed."""
+    n, ci, h, w = x.shape
+    taps = sliding_window_view(kernels.pad_same(x, k), (k, k), axis=(2, 3))
+    return taps.transpose(0, 1, 4, 5, 2, 3).reshape(n, ci * k * k, h * w)
+
+
+@SETTINGS
+@given(n=DIMS["n"], ci=DIMS["ci"], h=DIMS["h"], w=DIMS["w"], dtype=DIMS["dtype"],
+       seed=DIMS["seed"], strided=st.booleans())
+@example(n=2, ci=3, h=5, w=4, dtype=np.float64, seed=21, strided=True)
+@example(n=1, ci=1, h=1, w=6, dtype=np.float32, seed=22, strided=False)
+def test_pointwise_im2col_is_the_window_form(n, ci, h, w, dtype, seed, strided):
+    # At k = 1 im2col is a reshape; a subsampled view is copied, not misread.
+    x = np.random.default_rng(seed).standard_normal((n, ci, 2 * h, 2 * w)).astype(dtype)
+    x = x[:, :, ::2, ::2] if strided else np.ascontiguousarray(x[:, :, :h, :w])
+    got = kernels._im2col(x, 1)
+    assert np.array_equal(got, window_im2col(x, 1)) and got.dtype == dtype
+    assert strided or np.shares_memory(got, x)
+    wt = np.random.default_rng(seed + 1).standard_normal((2, ci, 1, 1)).astype(dtype)
+    np.testing.assert_allclose(kernels.conv(x, wt), conv_ref(x, wt), rtol=0, atol=tol(dtype))
+
+
 def ln_arrays(n, c, h, w, dtype, seed):
     rng = np.random.default_rng(seed)
     x = (rng.standard_normal((n, c, h, w)) * 3 + 1).astype(dtype)
@@ -153,26 +179,41 @@ LN_DIMS = dict(n=DIMS["n"], c=DIMS["ci"], h=DIMS["h"], w=DIMS["w"],
 
 
 @SETTINGS
-@given(**LN_DIMS)
-@example(n=2, c=3, h=1, w=6, dtype=np.float64, seed=5)
-@example(n=3, c=2, h=6, w=1, dtype=np.float32, seed=6)
-def test_layer_norm_fwd_matches_two_pass(n, c, h, w, dtype, seed):
+@given(**LN_DIMS, relu=st.booleans())
+@example(n=2, c=3, h=1, w=6, dtype=np.float64, seed=5, relu=False)
+@example(n=3, c=2, h=6, w=1, dtype=np.float32, seed=6, relu=False)
+@example(n=2, c=4, h=3, w=3, dtype=np.float32, seed=9, relu=True)
+def test_layer_norm_fwd_matches_two_pass(n, c, h, w, dtype, seed, relu):
     x, gamma, beta, _ = ln_arrays(n, c, h, w, dtype, seed)
-    got = kernels.layer_norm_fwd(x, gamma, beta, 1e-5)
-    for a, b in zip(got, ln_ref(x, gamma, beta, 1e-5)):
+    got = kernels.layer_norm_fwd(x, gamma, beta, 1e-5, relu=relu)
+    want = ln_ref(x, gamma, beta, 1e-5)
+    if relu:
+        want = (np.maximum(want[0], 0),) + want[1:]
+        # The fused ReLU clamps the unfused output in place: the same bits.
+        unfused = kernels.layer_norm_fwd(x, gamma, beta, 1e-5)
+        assert np.array_equal(got[0], np.maximum(unfused[0], 0))
+        for a, b in zip(got[1:], unfused[1:]):
+            assert np.array_equal(a, b)
+    for a, b in zip(got, want):
         assert a.dtype == dtype
         np.testing.assert_allclose(a, b, rtol=0, atol=tol(dtype))
 
 
 @SETTINGS
-@given(**LN_DIMS)
-@example(n=2, c=3, h=1, w=6, dtype=np.float64, seed=7)
-@example(n=3, c=2, h=6, w=1, dtype=np.float32, seed=8)
-def test_layer_norm_bwd_matches_two_pass(n, c, h, w, dtype, seed):
+@given(**LN_DIMS, relu=st.booleans())
+@example(n=2, c=3, h=1, w=6, dtype=np.float64, seed=7, relu=False)
+@example(n=3, c=2, h=6, w=1, dtype=np.float32, seed=8, relu=False)
+@example(n=2, c=4, h=3, w=3, dtype=np.float64, seed=10, relu=True)
+@example(n=3, c=3, h=2, w=5, dtype=np.float32, seed=11, relu=True)
+def test_layer_norm_bwd_matches_two_pass(n, c, h, w, dtype, seed, relu):
     x, gamma, beta, g = ln_arrays(n, c, h, w, dtype, seed)
-    _, mean, inv_std = kernels.layer_norm_fwd(x, gamma, beta, 1e-5)
-    got = kernels.layer_norm_bwd(g, x, mean, inv_std, gamma)
-    want = ln_bwd_ref(g.astype(np.float64), x.astype(np.float64),
+    y, mean, inv_std = kernels.layer_norm_fwd(x, gamma, beta, 1e-5, relu=relu)
+    g_before = g.copy()
+    got = kernels.layer_norm_bwd(g, x, mean, inv_std, gamma, y if relu else None)
+    assert np.array_equal(g, g_before)
+    # The fused ReLU passes the gradient where its output is positive.
+    g_in = g * (y > 0) if relu else g
+    want = ln_bwd_ref(g_in.astype(np.float64), x.astype(np.float64),
                       gamma.astype(np.float64), 1e-5)
     for a, b in zip(got, want):
         assert a.dtype == dtype

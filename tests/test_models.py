@@ -94,14 +94,20 @@ def test_forward_shapes_and_finite():
 
 def test_layer_norm_saves_no_activation():
     # The backward rule rebuilds x-hat from the node's input, so the tape
-    # keeps two numbers per sample for each layer norm, not a second copy.
+    # keeps two numbers per sample for each layer norm, not a second copy,
+    # plus the flag of the ReLU fused into it, which leaves no relu node.
     m = LayoutModel.create(tv_spec(), seed=1)
     x = np.random.default_rng(0).normal(size=(4, 1, 32, 32))
-    norms = [n for n in ag._topo(m.loss(x, np.arange(4))) if n.op == "layer_norm"]
+    tape = ag._topo(m.loss(x, np.arange(4)))
+    norms = [n for n in tape if n.op == "layer_norm"]
     assert len(norms) == 9  # 7 in the body, one in each tvconv block's generator
     for n in norms:
-        assert set(n.saved) == {"mean", "inv_std"}
-        assert all(v.shape == (len(n.value), 1, 1, 1) for v in n.saved.values())
+        assert set(n.saved) == {"mean", "inv_std", "relu"}
+        assert isinstance(n.saved["relu"], bool)
+        arrays = [v for v in n.saved.values() if isinstance(v, np.ndarray)]
+        assert len(arrays) == 2
+        assert all(v.shape == (len(n.value), 1, 1, 1) for v in arrays)
+    assert not any(n.op == "relu" for n in tape)
 
 
 def test_negative_block_count_is_rejected():
@@ -346,6 +352,21 @@ def test_load_rejects_wrong_param_shape(tmp_path):
     models.save_model(LayoutModel.create(tv_spec(), seed=0), tmp_path)
     save_tensor(Tensor(np.zeros((3, 3))), tmp_path / "params" / "head.w.tvt")
     with pytest.raises(ValueError, match=r"head\.w\.tvt.*\(3, 3\).*\(16, 8\)"):
+        models.load_model(tmp_path)
+
+
+def test_save_refuses_non_finite_parameter(tmp_path):
+    m = LayoutModel.create(tv_spec(), seed=0)
+    m.params["s0.b0.tv.aff"][1, 2, 3] = np.nan
+    with pytest.raises(ValueError, match=r"parameter s0\.b0\.tv\.aff is not finite"):
+        models.save_model(m, tmp_path / "ckpt")
+    assert not (tmp_path / "ckpt").exists()
+
+
+def test_load_refuses_non_finite_file(tmp_path):
+    models.save_model(LayoutModel.create(tv_spec(), seed=0), tmp_path)
+    save_tensor(Tensor(np.full((16, 8), np.inf)), tmp_path / "params" / "head.w.tvt")
+    with pytest.raises(ValueError, match=r"head\.w\.tvt: holds a non-finite value"):
         models.load_model(tmp_path)
 
 

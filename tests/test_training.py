@@ -183,6 +183,32 @@ def test_bad_splits_are_rejected():
         training.train(m, ds, cfg())
 
 
+def test_non_finite_parameter_after_last_step_aborts(monkeypatch):
+    # The loss is checked before each step; what the epoch's last step leaves
+    # behind is checked before the evaluation reads logits off it.
+    step = training.sgd_step
+
+    def overflowing_step(params, *args):
+        step(params, *args)
+        params["s1.b0.pw.w"][0, 0, 0, 0] = np.inf
+
+    monkeypatch.setattr(training, "sgd_step", overflowing_step)
+    with pytest.raises(TrainingError, match=r"parameter s1\.b0\.pw\.w is not finite after "
+                                            r"the last step of epoch 0"):
+        training.train(toy_model(), toy_blobs(n=8), cfg(batch_size=8))
+
+
+def test_overflowing_model_is_not_scored():
+    # Finite parameters can still overflow the forward pass; an accuracy read
+    # off nan logits (argmax 0) would be a number about nothing.
+    m, ds = toy_model(), toy_blobs(n=8)
+    m.params["head.w"][...] = np.finfo(np.float64).max
+    x = ds.test_x.copy()
+    x[:4] = 0.0   # a blank image pools to zero features: logits = head.b
+    with pytest.raises(ValueError, match="image 4 has non-finite logits"):
+        training.evaluate(m, x, ds.test_y, batch_size=3)
+
+
 def test_freeze_does_not_change_metric():
     ds = toy_blobs()
     m = toy_model(op="tvconv")
