@@ -4,10 +4,11 @@ A model is a named chain of cost-model blocks (`costmodel.BlockSpec`) and a
 global-mean-pool linear head. `desk_arch` expands a `ModelSpec` into the
 chain: a plain k x k `stem`, then per stage a plain 1x1 transition `s{i}.t`
 entered with the stage's stride and the stage's inverted-residual blocks
-`s{i}.b{j}` (expand 1, stride 1). `create` and `forward` each walk it in one
-loop; `model_macs` prices it with the cost model's `chain_cost`. A plain block
-is conv -> layer norm + relu, as in the weight generator; a relu always runs
-fused into the norm before it, as one tape op. A residual block adds spatial
+`s{i}.b{j}` (expand 1, stride 1). `create` walks it in one loop, and one
+loop (`_features`) runs it up to the pool for both `forward` (the tape, whole
+batch) and `predict` (no tape); `model_macs` prices it with the cost model's
+`chain_cost`. A plain block is conv -> layer norm + relu, as in the weight
+generator; a relu always runs fused into the norm before it, as one tape op. A residual block adds spatial
 op -> norm + relu -> pointwise -> norm onto its input; the projection stays
 linear and its norm gain starts small (BRANCH_GAIN), so blocks begin near
 identity and gradients flow through the skip even when a hot momentum step
@@ -19,6 +20,10 @@ parameter: each per-position layer guards its own, the model the rest, so
 frozen `predict` refuses to serve after any bit of any parameter changed and
 names the parameter.
 
+`predict` walks the chain over blocks of at most PREDICT_BLOCK = 32 images,
+whose stem activation (2 MB) fits one core's L2 cache, and runs the head once
+on all the pooled features, so its logits equal `forward`'s bit for bit.
+
 Parameters live in one ordered name -> array dict. The arrays are shared
 (never copied) with the per-position layer objects and with the tape leaves,
 which are bound once at construction, so in-place SGD updates keep every view
@@ -27,6 +32,7 @@ consistent. `create` alone defines that layout; `load_model` fills it.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -38,7 +44,7 @@ from .costmodel import BODY_OPS, ArchSpec, BlockSpec, chain_cost, check_arch
 from .operator import (GeneratorParams, StateError, TVConvLayer, check_unchanged,
                        generator_field, init_affinity_from_stats, raw_bytes)
 from .seeding import rng_for
-from .tensor import Tensor, load_tensor, save_tensor
+from .tensor import Tensor, tensor_from_bytes, tensor_to_bytes
 
 OPERATORS = BODY_OPS   # the spatial ops a residual block can mount
 
@@ -47,6 +53,8 @@ OPERATORS = BODY_OPS   # the spatial ops a residual block can mount
 # nonzero, so blocks contribute (and learn) from the first step; pilots with
 # gain 0 wasted a third of the desk-scale epoch budget waking the blocks up.
 BRANCH_GAIN = 0.25
+
+PREDICT_BLOCK = 32   # images per block of a `predict` walk; see `predict`
 
 
 @dataclass(frozen=True)
@@ -194,9 +202,16 @@ class LayoutModel:
         nodes["affinity"] = leaves[f"{prefix}.aff"]
         return generator_field(nodes, layer.gen)
 
-    def forward(self, x: np.ndarray) -> ag.Node:
-        """Logits node over `self.leaves`. With recording off, a frozen
-        per-position layer serves its cached field instead of regenerating."""
+    def _fields(self) -> dict[str, ag.Node]:
+        """Weight-field node per per-position layer. With recording off, a
+        frozen layer serves its cached field (after its guard) instead of
+        regenerating."""
+        return {name: (ag.constant(layer.cached_field().values)
+                       if layer.frozen and not ag.recording()
+                       else self._field_node(self.leaves, name, layer))
+                for name, layer in self.tv_layers.items()}
+
+    def _checked_input(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         want = (self.spec.in_channels, self.spec.h, self.spec.w)
         if x.ndim != 4 or x.shape[1:] != want:
@@ -204,6 +219,10 @@ class LayoutModel:
                 f"expected input [n, {want[0]}, {want[1]}, {want[2]}], "
                 f"got {x.shape}")
         check_finite(x)
+        return x
+
+    def _features(self, x: np.ndarray, fields: dict[str, ag.Node]) -> ag.Node:
+        """The chain up to the global mean pool: features [n, c]."""
         leaves = self.leaves
 
         def lnr(node, prefix):
@@ -220,17 +239,20 @@ class LayoutModel:
             if b.op == "depthwise":
                 r = ag.dwconv(h, leaves[f"{p}.dw.w"])
             else:
-                layer = self.tv_layers[f"{p}.tv"]
-                if layer.frozen and not ag.recording():
-                    field = ag.constant(layer.cached_field().values)
-                else:
-                    field = self._field_node(leaves, f"{p}.tv", layer)
-                r = ag.tvconv(h, field, b.k)
+                r = ag.tvconv(h, fields[f"{p}.tv"], b.k)
             r = lnr(r, f"{p}.sp.ln")
             r = ag.conv(r, leaves[f"{p}.pw.w"])
             r = ag.layer_norm(r, leaves[f"{p}.pw.ln.g"], leaves[f"{p}.pw.ln.b"])
             h = ag.add(h, r)
-        return ag.linear(ag.pool_mean(h), leaves["head.w"], leaves["head.b"])
+        return ag.pool_mean(h)
+
+    def _head(self, features: ag.Node) -> ag.Node:
+        return ag.linear(features, self.leaves["head.w"], self.leaves["head.b"])
+
+    def forward(self, x: np.ndarray) -> ag.Node:
+        """Logits node over `self.leaves`, the whole batch in one walk."""
+        x = self._checked_input(x)
+        return self._head(self._features(x, self._fields()))
 
     def logits_array(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x).value
@@ -239,9 +261,10 @@ class LayoutModel:
         return ag.softmax_xent(self.forward(x), y)
 
     def weight_fields(self) -> dict[str, np.ndarray]:
-        """Current generated field per per-position layer (tape values)."""
-        return {name: self._field_node(self.leaves, name, layer).value
-                for name, layer in self.tv_layers.items()}
+        """Current field per per-position layer, generated without a tape
+        (a frozen layer's cached field, after its guard)."""
+        with ag.no_tape():
+            return {name: node.value for name, node in self._fields().items()}
 
     # --- frozen inference -----------------------------------------------------
 
@@ -264,13 +287,28 @@ class LayoutModel:
         return self
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """Logits from the forward walk with recording off; uses cached
-        fields when frozen, after verifying no parameter changed."""
+        """Logits with recording off; uses cached fields when frozen, after
+        verifying no parameter changed.
+
+        The guard, the input check and each field run once per call. The
+        chain then walks blocks of at most PREDICT_BLOCK images: 32 desk
+        images make a 2 MB stem activation (8 x 32 x 32 float64 each), one
+        core's L2 cache on the 2-vCPU Xeon the benchmark runs on, so no op
+        streams a whole b128 batch's 8 MB arrays from L3. The head
+        runs once, on the pooled features of all blocks: every op before it
+        gives the same bits at any batch size, but the head's [1, c] GEMM
+        (a BLAS gemv) rounds a lone row differently from the same row in a
+        larger batch, so a final block of one image must never reach it
+        alone. Logits are bit-identical to `forward` on the whole batch."""
         if self.frozen:
             check_unchanged(self._guarded, self._frozen_bytes,
                             raw_bytes(self._guarded.items()))
+        x = self._checked_input(x)
         with ag.no_tape():
-            return self.forward(x).value
+            fields = self._fields()
+            features = [self._features(x[i:i + PREDICT_BLOCK], fields).value
+                        for i in range(0, len(x), PREDICT_BLOCK)]
+            return self._head(ag.constant(np.concatenate(features))).value
 
 
 def check_finite(x: np.ndarray) -> None:
@@ -328,23 +366,28 @@ def _stages_parse(text: str) -> tuple[StageSpec, ...]:
 
 def save_model(model: LayoutModel, path) -> None:
     """Write the manifest and one file per parameter; a model with a
-    non-finite parameter is refused before anything is written."""
+    non-finite parameter is refused before anything is written. The manifest
+    records the sha256 of each parameter file as `sha256.<name>`."""
     out = Path(path)
     bad = non_finite_param(model.params)
     if bad is not None:
         raise ValueError(f"parameter {bad} is not finite; not saving {out}")
+    raw = {name: tensor_to_bytes(Tensor(arr)) for name, arr in model.params.items()}
     (out / "params").mkdir(parents=True, exist_ok=True)
     manifest = report.spec_kv(model.spec, stages=_stages_text)
+    manifest.update((f"sha256.{name}", hashlib.sha256(b).hexdigest())
+                    for name, b in raw.items())
     manifest["params"] = ",".join(model.params)
     (out / "model.txt").write_text(report.format_kv(manifest))
-    for name, arr in model.params.items():
-        save_tensor(Tensor(arr), out / "params" / f"{name}.tvt")
+    for name, b in raw.items():
+        (out / "params" / f"{name}.tvt").write_bytes(b)
 
 
 def load_model(path) -> LayoutModel:
     """Build the spec's skeleton with `create` and copy each saved array into
     it in place, so the per-position layers keep aliasing the parameters.
-    A file with a wrong shape or a non-finite value is refused by name."""
+    A file with a wrong shape, a non-finite value or a sha256 other than the
+    manifest's is refused by name."""
     src = Path(path)
     source = str(src / "model.txt")
     manifest = report.parse_kv((src / "model.txt").read_text(), source)
@@ -357,12 +400,18 @@ def load_model(path) -> LayoutModel:
                          f"{[n for n in model.params if n not in names]}, "
                          f"unexpected {[n for n in names if n not in model.params]}")
     for name, arr in model.params.items():
+        key = f"sha256.{name}"
+        if key not in manifest:
+            raise report.KvError(f"{source}: missing key '{key}'")
         file = src / "params" / f"{name}.tvt"
-        loaded = load_tensor(file).data
+        raw = file.read_bytes()
+        loaded = tensor_from_bytes(raw).data
         if loaded.shape != arr.shape:
             raise ValueError(f"{file}: shape {loaded.shape} does not match "
                              f"the spec's {arr.shape}")
         if not np.isfinite(loaded).all():
             raise ValueError(f"{file}: holds a non-finite value")
+        if hashlib.sha256(raw).hexdigest() != manifest[key]:
+            raise ValueError(f"{file}: sha256 does not match {source}")
         arr[...] = loaded
     return model

@@ -92,8 +92,15 @@ class TrainResult:
     model: LayoutModel | None = None
 
 
+def check_split(x: np.ndarray, y: np.ndarray, split: str) -> None:
+    """Refuse a split whose images and labels differ in number, naming both."""
+    if len(x) != len(y):
+        raise ValueError(f"{split} split has {len(x)} images but {len(y)} labels")
+
+
 def evaluate(model: LayoutModel, x: np.ndarray, y: np.ndarray,
              batch_size: int = 128) -> float:
+    check_split(x, y, "evaluation")
     if len(y) == 0:
         raise ValueError("cannot evaluate on an empty split")
     check_finite(x)  # names a bad image by its index in the split, not the batch
@@ -112,6 +119,8 @@ def evaluate(model: LayoutModel, x: np.ndarray, y: np.ndarray,
 def train(model: LayoutModel, dataset, cfg: TrainConfig) -> TrainResult:
     x_tr, y_tr = dataset.train_x, dataset.train_y
     x_te, y_te = dataset.test_x, dataset.test_y
+    check_split(x_tr, y_tr, "training")
+    check_split(x_te, y_te, "test")
     if len(y_tr) == 0:
         raise TrainingError("training split is empty")
     check_finite(x_tr)

@@ -244,6 +244,10 @@ def test_predict_rejects_non_finite_input(op, frozen):
     x[1, 0, 31, 0] = -np.inf
     with pytest.raises(ValueError, match="image 1 has a non-finite value"):
         m.predict(x)
+    x = np.zeros((64, 1, 32, 32))   # image 40 sits in the second block
+    x[40, 0, 0, 9] = np.inf
+    with pytest.raises(ValueError, match="image 40 has a non-finite value"):
+        m.predict(x)
 
 
 def test_freeze_detects_mutation():
@@ -286,6 +290,37 @@ def test_predict_unfrozen_uses_tape_path():
     m = LayoutModel.create(dw_spec(), seed=2)
     x = np.random.default_rng(3).normal(size=(2, 1, 32, 32))
     assert np.array_equal(m.predict(x), m.logits_array(x))
+
+
+@pytest.mark.parametrize("frozen", [False, True], ids=["eager", "frozen"])
+@pytest.mark.parametrize("op", models.OPERATORS)
+def test_predict_blocks_equal_whole_batch(op, frozen):
+    # predict walks blocks of PREDICT_BLOCK images and runs the head once;
+    # 33 leaves a final block of one image, whose head row alone would round
+    # differently from the same row in a larger batch
+    m = LayoutModel.create(models.default_model_spec(op), seed=2)
+    if frozen:
+        m.freeze()
+    x = np.random.default_rng(8).normal(size=(128, 1, 32, 32))
+    for n in (1, 31, 32, 33, 65, 128):
+        assert np.array_equal(m.predict(x[:n]), m.logits_array(x[:n])), n
+
+
+@pytest.mark.parametrize("frozen", [False, True], ids=["eager", "frozen"])
+def test_predict_makes_each_field_once_per_call(monkeypatch, frozen):
+    # over three blocks, each per-position field is generated (or, frozen,
+    # guarded and served from the cache) once, not once per block
+    m = LayoutModel.create(tv_spec(), seed=2)
+    if frozen:
+        m.freeze()
+    owner, attr = ((operator.TVConvLayer, "fingerprint") if frozen
+                   else (LayoutModel, "_field_node"))
+    calls = []
+    orig = getattr(owner, attr)
+    monkeypatch.setattr(owner, attr,
+                        lambda *a, **kw: calls.append(attr) or orig(*a, **kw))
+    m.predict(np.random.default_rng(9).normal(size=(65, 1, 32, 32)))
+    assert len(calls) == len(m.tv_layers) == 2
 
 
 def test_backward_skips_image_gradient(monkeypatch):
@@ -331,6 +366,7 @@ def test_checkpoint_round_trip(tmp_path):
     for name in m.params:
         assert np.array_equal(back.params[name], m.params[name])
     assert np.array_equal(back.logits_array(x), ref)
+    assert np.array_equal(back.freeze().predict(x), ref)
     # rewriting produces identical bytes
     first = {p.name: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
     models.save_model(m, out)
@@ -370,6 +406,28 @@ def test_load_refuses_non_finite_file(tmp_path):
         models.load_model(tmp_path)
 
 
+def test_load_refuses_a_changed_byte(tmp_path):
+    # same shape, finite values: only the manifest's sha256 catches it
+    models.save_model(LayoutModel.create(tv_spec(), seed=0), tmp_path)
+    file = tmp_path / "params" / "s0.b0.tv.out.w.tvt"
+    raw = bytearray(file.read_bytes())
+    raw[-8] ^= 0x01       # lowest mantissa byte of the last element
+    file.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match=r"s0\.b0\.tv\.out\.w\.tvt: sha256 does not "
+                                         r"match .*model\.txt"):
+        models.load_model(tmp_path)
+
+
+def test_load_refuses_a_missing_digest(tmp_path):
+    models.save_model(LayoutModel.create(tv_spec(), seed=0), tmp_path)
+    manifest = tmp_path / "model.txt"
+    manifest.write_text("".join(
+        line for line in manifest.read_text().splitlines(keepends=True)
+        if not line.startswith("sha256.head.b=")))
+    with pytest.raises(KvError, match=r"model\.txt: missing key 'sha256\.head\.b'"):
+        models.load_model(tmp_path)
+
+
 @pytest.mark.parametrize("edit", [
     lambda names: names.replace(",head.b", ""),
     lambda names: names.replace("head.b", "head.bias"),
@@ -395,8 +453,17 @@ def test_load_missing_manifest_key_names_file_and_key(tmp_path):
 
 
 def test_on_disk_manifests_pinned(tmp_path):
-    models.save_model(LayoutModel.create(tv_spec(), seed=0), tmp_path / "m")
-    assert (tmp_path / "m" / "model.txt").read_text() == (
+    m = LayoutModel.create(tv_spec(), seed=0)
+    models.save_model(m, tmp_path / "m")
+    text = (tmp_path / "m" / "model.txt").read_text()
+    lines = text.splitlines(keepends=True)
+    params = tmp_path / "m" / "params"
+    assert [line for line in lines if line.startswith("sha256.")] == [
+        f"sha256.{name}={hashlib.sha256((params / f'{name}.tvt').read_bytes()).hexdigest()}\n"
+        for name in m.params]
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "9b202d06c6ee7f3fe9efeb24372d29f532df19774c78ef011e9317f543bc5799")
+    assert "".join(line for line in lines if not line.startswith("sha256.")) == (
         "in_channels=1\nh=32\nw=32\nclasses=8\nstem_channels=8\n"
         "stages=8:1:tvconv:2;16:1:tvconv:2\nk=3\naffinity_channels=2\n"
         "gen_depth=1\ngen_width=8\ngen_kernel=3\naffinity_init=constant\n"

@@ -2,6 +2,8 @@
 values, the affinity weight-decay exemption by parameter-wise diff, loop
 determinism, the lr=0 no-op, a separable sanity task, and the NaN abort."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -175,6 +177,14 @@ def test_bad_splits_are_rejected():
     m, ds = toy_model(), toy_blobs(n=8)
     with pytest.raises(ValueError, match="empty split"):
         training.evaluate(m, ds.test_x[:0], ds.test_y[:0])
+    for nx, ny in ((8, 1), (1, 8), (8, 6)):
+        with pytest.raises(ValueError, match=f"evaluation split has {nx} images but "
+                                             f"{ny} labels"):
+            training.evaluate(m, ds.test_x[:nx], ds.test_y[:ny])
+    for split in ("train", "test"):
+        short = replace(ds, **{f"{split}_y": getattr(ds, f"{split}_y")[:5]})
+        with pytest.raises(ValueError, match=f"{split}\\w* split has 8 images but 5 labels"):
+            training.train(m, short, cfg())
     ds.test_x[5, 0, 3, 3] = np.inf   # image 1 of the second batch
     with pytest.raises(ValueError, match="image 5 has a non-finite value"):
         training.evaluate(m, ds.test_x, ds.test_y, batch_size=4)
