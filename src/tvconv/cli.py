@@ -281,8 +281,8 @@ def cmd_export_affinity(args: argparse.Namespace) -> int:
     if not model.tv_layers:
         raise CliError("checkpoint has no per-position stages to export")
     args.out.mkdir(parents=True, exist_ok=True)
-    for name, layer in model.tv_layers.items():
-        written = export_affinity(layer.affinity, args.out,
+    for name in model.tv_layers:
+        written = export_affinity(model.params[f"{name}.aff"], args.out,
                                   basename=name.replace(".", "_"))
         for p in written:
             print(f"wrote {p}")

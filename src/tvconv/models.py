@@ -14,20 +14,21 @@ linear and its norm gain starts small (BRANCH_GAIN), so blocks begin near
 identity and gradients flow through the skip even when a hot momentum step
 would otherwise kill every relu in the branch (how the unnormalized variant
 dies on some seeds). The spatial op is a shared depthwise
-filter or the per-position variant, which is bound to its feature-map size and
-caches its weight field at freeze. `freeze` snapshots the raw bytes of every
-parameter: each per-position layer guards its own, the model the rest, so
-frozen `predict` refuses to serve after any bit of any parameter changed and
-names the parameter.
+filter or the per-position variant, whose generator and affinity maps are
+bound to its feature-map size. `freeze` caches every per-position weight field
+and snapshots the raw bytes of every parameter, so frozen `predict` and
+`weight_fields` refuse to serve after any bit of any parameter changed and
+name the parameter.
 
 `predict` walks the chain over blocks of at most PREDICT_BLOCK = 32 images,
 whose stem activation (2 MB) fits one core's L2 cache, and runs the head once
 on all the pooled features, so its logits equal `forward`'s bit for bit.
 
 Parameters live in one ordered name -> array dict. The arrays are shared
-(never copied) with the per-position layer objects and with the tape leaves,
-which are bound once at construction, so in-place SGD updates keep every view
-consistent. `create` alone defines that layout; `load_model` fills it.
+(never copied) with each per-position block's `GeneratorParams` and with the
+tape leaves, which are bound once at construction, so in-place SGD updates
+keep every view consistent. `create` alone defines that layout; `load_model`
+fills it.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ import numpy as np
 from . import autograd as ag
 from . import report
 from .costmodel import BODY_OPS, ArchSpec, BlockSpec, chain_cost, check_arch
-from .operator import (GeneratorParams, StateError, TVConvLayer, check_unchanged,
-                       generator_field, init_affinity_from_stats, raw_bytes)
+from .operator import (GeneratorParams, StateError, check_unchanged, generator_field,
+                       init_affinity_from_stats, raw_bytes)
 from .seeding import rng_for
 from .tensor import Tensor, tensor_from_bytes, tensor_to_bytes
 
@@ -134,14 +135,14 @@ def desk_arch(spec: ModelSpec) -> tuple[ArchSpec, tuple[str, ...]]:
 
 class LayoutModel:
     def __init__(self, spec: ModelSpec, chain: tuple[tuple[str, BlockSpec], ...],
-                 params: dict[str, np.ndarray], tv_layers: dict[str, TVConvLayer]):
+                 params: dict[str, np.ndarray], tv_layers: dict[str, GeneratorParams]):
         self.spec = spec
         self.chain = chain
         self.params = params
-        self.tv_layers = tv_layers
+        self.tv_layers = tv_layers   # prefix -> generator, its arrays in `params`
         self.leaves = {name: ag.leaf(arr, name=name, param=True)
                        for name, arr in params.items()}
-        self._guarded: dict[str, np.ndarray] = {}   # set by freeze
+        self._frozen_fields: dict[str, np.ndarray] = {}   # set by freeze
         self._frozen_bytes: tuple | None = None
 
     @classmethod
@@ -155,7 +156,7 @@ class LayoutModel:
         arch, names = desk_arch(spec)
         chain = tuple(zip(names, arch.blocks))
         params: dict[str, np.ndarray] = {}
-        tv_layers: dict[str, TVConvLayer] = {}
+        tv_layers: dict[str, GeneratorParams] = {}
 
         def he(shape, fan):
             return rng.normal(0.0, np.sqrt(2.0 / fan), size=shape)
@@ -180,14 +181,13 @@ class LayoutModel:
                     depth=spec.gen_depth, width=spec.gen_width,
                     k_gen=spec.gen_kernel, rng=rng)
                 if spec.affinity_init == "constant":
-                    aff = np.ones((spec.affinity_channels, hi, wi))
+                    params[f"{p}.tv.aff"] = np.ones((spec.affinity_channels, hi, wi))
                 else:
-                    aff = init_affinity_from_stats(
+                    params[f"{p}.tv.aff"] = init_affinity_from_stats(
                         stats_images, spec.affinity_channels, hi, wi).values
-                layer = TVConvLayer(aff, gen, hi, wi, name=f"{p}.tv")
-                for name, arr in layer.arrays():
+                for name, arr in gen.arrays():
                     params[f"{p}.tv.{name}"] = arr
-                tv_layers[f"{p}.tv"] = layer
+                tv_layers[f"{p}.tv"] = gen
             ln(f"{p}.sp.ln", c)
             params[f"{p}.pw.w"] = he((c, c, 1, 1), c)
             ln(f"{p}.pw.ln", c, gain=BRANCH_GAIN)
@@ -197,26 +197,27 @@ class LayoutModel:
 
     # --- tape forward -------------------------------------------------------
 
-    def _field_node(self, leaves, prefix: str, layer: TVConvLayer) -> ag.Node:
-        nodes = {name: leaves[f"{prefix}.{name}"] for name, _ in layer.gen.arrays()}
-        nodes["affinity"] = leaves[f"{prefix}.aff"]
-        return generator_field(nodes, layer.gen)
+    def _field_node(self, prefix: str, gen: GeneratorParams) -> ag.Node:
+        nodes = {name: self.leaves[f"{prefix}.{name}"] for name, _ in gen.arrays()}
+        nodes["affinity"] = self.leaves[f"{prefix}.aff"]
+        return generator_field(nodes, gen)
 
     def _fields(self) -> dict[str, ag.Node]:
         """Weight-field node per per-position layer. With recording off, a
-        frozen layer serves its cached field (after its guard) instead of
+        frozen model serves its cached fields (after its guard) instead of
         regenerating."""
-        return {name: (ag.constant(layer.cached_field().values)
-                       if layer.frozen and not ag.recording()
-                       else self._field_node(self.leaves, name, layer))
-                for name, layer in self.tv_layers.items()}
+        if self.frozen and not ag.recording():
+            check_unchanged(self.params, self._frozen_bytes,
+                            raw_bytes(self.params.items()))
+            return {name: ag.constant(f) for name, f in self._frozen_fields.items()}
+        return {name: self._field_node(name, gen) for name, gen in self.tv_layers.items()}
 
     def _checked_input(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         want = (self.spec.in_channels, self.spec.h, self.spec.w)
-        if x.ndim != 4 or x.shape[1:] != want:
+        if x.ndim != 4 or x.shape[1:] != want or len(x) == 0:
             raise ValueError(
-                f"expected input [n, {want[0]}, {want[1]}, {want[2]}], "
+                f"expected input [n, {want[0]}, {want[1]}, {want[2]}] with n >= 1, "
                 f"got {x.shape}")
         check_finite(x)
         return x
@@ -262,7 +263,7 @@ class LayoutModel:
 
     def weight_fields(self) -> dict[str, np.ndarray]:
         """Current field per per-position layer, generated without a tape
-        (a frozen layer's cached field, after its guard)."""
+        (a frozen model's cached field, after its guard)."""
         with ag.no_tape():
             return {name: node.value for name, node in self._fields().items()}
 
@@ -273,17 +274,12 @@ class LayoutModel:
         return self._frozen_bytes is not None
 
     def freeze(self) -> "LayoutModel":
-        """Cache every per-position field and snapshot the raw bytes of the
-        parameters no per-position layer guards."""
+        """Cache every per-position field and snapshot the raw bytes of every
+        parameter."""
         if self.frozen:
             raise StateError("model is already frozen")
-        for layer in self.tv_layers.values():
-            layer.freeze()
-        owned = {id(arr) for layer in self.tv_layers.values()
-                 for _, arr in layer.arrays()}
-        self._guarded = {name: arr for name, arr in self.params.items()
-                         if id(arr) not in owned}
-        self._frozen_bytes = raw_bytes(self._guarded.items())
+        self._frozen_fields = self.weight_fields()
+        self._frozen_bytes = raw_bytes(self.params.items())
         return self
 
     def predict(self, x: np.ndarray) -> np.ndarray:
@@ -300,12 +296,9 @@ class LayoutModel:
         (a BLAS gemv) rounds a lone row differently from the same row in a
         larger batch, so a final block of one image must never reach it
         alone. Logits are bit-identical to `forward` on the whole batch."""
-        if self.frozen:
-            check_unchanged(self._guarded, self._frozen_bytes,
-                            raw_bytes(self._guarded.items()))
-        x = self._checked_input(x)
         with ag.no_tape():
-            fields = self._fields()
+            fields = self._fields()   # the frozen guard runs before the input check
+            x = self._checked_input(x)
             features = [self._features(x[i:i + PREDICT_BLOCK], fields).value
                         for i in range(0, len(x), PREDICT_BLOCK)]
             return self._head(ag.constant(np.concatenate(features))).value
@@ -385,7 +378,7 @@ def save_model(model: LayoutModel, path) -> None:
 
 def load_model(path) -> LayoutModel:
     """Build the spec's skeleton with `create` and copy each saved array into
-    it in place, so the per-position layers keep aliasing the parameters.
+    it in place, so the generators keep aliasing the parameters.
     A file with a wrong shape, a non-finite value or a sha256 other than the
     manifest's is refused by name."""
     src = Path(path)

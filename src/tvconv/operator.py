@@ -304,12 +304,10 @@ class TVConvLayer:
     snapshot of every parameter's raw bytes, and switches to frozen mode where
     only infer_cached() is legal. Changing any bit of any parameter after
     freeze makes the cache stale, which cached_field() detects by comparing
-    bytes and refuses, naming the array. `name`, if given, prefixes the array
-    names in that message (a model passes the prefix of its parameter names).
+    bytes and refuses, naming the array.
     """
 
-    def __init__(self, affinity: np.ndarray, gen: GeneratorParams, h: int, w: int,
-                 name: str = ""):
+    def __init__(self, affinity: np.ndarray, gen: GeneratorParams, h: int, w: int):
         affinity = np.asarray(affinity)
         if affinity.shape != (gen.affinity_channels, h, w):
             raise ValueError(
@@ -321,7 +319,6 @@ class TVConvLayer:
         self.h = h
         self.w = w
         self.mode = "training"
-        self.name = name
         self._cache: WeightField | None = None
         self._frozen_bytes: tuple | None = None
 
@@ -384,8 +381,8 @@ class TVConvLayer:
         """The frozen weight field, after verifying no parameter changed."""
         if not self.frozen:
             raise StateError("layer is in training mode; call freeze() first")
-        names = (f"{self.name}.{n}" if self.name else n for n, _ in self.arrays())
-        check_unchanged(names, self._frozen_bytes, self.fingerprint())
+        check_unchanged((n for n, _ in self.arrays()), self._frozen_bytes,
+                        self.fingerprint())
         return self._cache
 
     def infer_cached(self, x: Tensor) -> Tensor:

@@ -98,22 +98,19 @@ def check_split(x: np.ndarray, y: np.ndarray, split: str) -> None:
         raise ValueError(f"{split} split has {len(x)} images but {len(y)} labels")
 
 
-def evaluate(model: LayoutModel, x: np.ndarray, y: np.ndarray,
-             batch_size: int = 128) -> float:
+def evaluate(model: LayoutModel, x: np.ndarray, y: np.ndarray) -> float:
+    """Accuracy of one `predict` over the whole split; `predict` names a
+    non-finite image by its index in `x`."""
     check_split(x, y, "evaluation")
     if len(y) == 0:
         raise ValueError("cannot evaluate on an empty split")
-    check_finite(x)  # names a bad image by its index in the split, not the batch
-    hits = 0
-    for start in range(0, len(y), batch_size):
-        # a forward pass that overflows is reported below, naming the image
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            logits = model.predict(x[start:start + batch_size])
-        if not np.isfinite(logits).all():
-            bad = start + int(np.argmax(~np.isfinite(logits).all(axis=1)))
-            raise ValueError(f"image {bad} has non-finite logits (the model overflows)")
-        hits += int((logits.argmax(axis=1) == y[start:start + batch_size]).sum())
-    return hits / len(y)
+    # a forward pass that overflows is reported below, naming the image
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        logits = model.predict(x)
+    if not np.isfinite(logits).all():
+        bad = int(np.argmax(~np.isfinite(logits).all(axis=1)))
+        raise ValueError(f"image {bad} has non-finite logits (the model overflows)")
+    return int((logits.argmax(axis=1) == y).sum()) / len(y)
 
 
 def train(model: LayoutModel, dataset, cfg: TrainConfig) -> TrainResult:

@@ -129,7 +129,9 @@ def test_tape_generator_matches_operator_module():
     # single-layer module generates from the same parameter arrays
     m = LayoutModel.create(tv_spec(), seed=3)
     fields = m.weight_fields()
-    for name, layer in m.tv_layers.items():
+    for name, gen in m.tv_layers.items():
+        aff = m.params[f"{name}.aff"]
+        layer = operator.TVConvLayer(aff, gen, *aff.shape[1:])
         assert np.array_equal(fields[name], layer.weights().values)
 
 
@@ -233,6 +235,18 @@ def test_frozen_predict_rejects_wrong_shape(op):
 
 @pytest.mark.parametrize("frozen", [False, True], ids=["eager", "frozen"])
 @pytest.mark.parametrize("op", models.OPERATORS)
+def test_empty_batch_is_rejected(op, frozen):
+    m = LayoutModel.create(models.default_model_spec(op), seed=1)
+    if frozen:
+        m.freeze()
+    for call in (m.predict, m.forward, m.logits_array):
+        with pytest.raises(ValueError, match=re.escape(
+                "expected input [n, 1, 32, 32] with n >= 1, got (0, 1, 32, 32)")):
+            call(np.zeros((0, 1, 32, 32)))
+
+
+@pytest.mark.parametrize("frozen", [False, True], ids=["eager", "frozen"])
+@pytest.mark.parametrize("op", models.OPERATORS)
 def test_predict_rejects_non_finite_input(op, frozen):
     m = LayoutModel.create(models.default_model_spec(op), seed=1)
     if frozen:
@@ -273,8 +287,10 @@ def test_freeze_guards_every_parameter(op, name):
     arr = m.params[name]
     original = arr.flat[0]
     arr.flat[0] = original + 0.5
-    with pytest.raises(StaleCacheError, match=f"^parameter '{re.escape(name)}' changed"):
-        m.predict(x)
+    for call in (lambda: m.predict(x), m.weight_fields):
+        with pytest.raises(StaleCacheError,
+                           match=f"^parameter '{re.escape(name)}' changed"):
+            call()
     arr.flat[0] = original
     assert np.array_equal(m.predict(x), served)
 
@@ -308,19 +324,19 @@ def test_predict_blocks_equal_whole_batch(op, frozen):
 
 @pytest.mark.parametrize("frozen", [False, True], ids=["eager", "frozen"])
 def test_predict_makes_each_field_once_per_call(monkeypatch, frozen):
-    # over three blocks, each per-position field is generated (or, frozen,
-    # guarded and served from the cache) once, not once per block
+    # over three blocks, each per-position field is generated once, not once
+    # per block; frozen, none is generated and the guard runs once
     m = LayoutModel.create(tv_spec(), seed=2)
     if frozen:
         m.freeze()
-    owner, attr = ((operator.TVConvLayer, "fingerprint") if frozen
-                   else (LayoutModel, "_field_node"))
     calls = []
-    orig = getattr(owner, attr)
-    monkeypatch.setattr(owner, attr,
-                        lambda *a, **kw: calls.append(attr) or orig(*a, **kw))
+    for owner, attr in ((LayoutModel, "_field_node"), (models, "raw_bytes")):
+        orig = getattr(owner, attr)
+        monkeypatch.setattr(owner, attr, lambda *a, attr=attr, orig=orig, **kw:
+                            calls.append(attr) or orig(*a, **kw))
     m.predict(np.random.default_rng(9).normal(size=(65, 1, 32, 32)))
-    assert len(calls) == len(m.tv_layers) == 2
+    want = ["raw_bytes"] if frozen else ["_field_node"] * len(m.tv_layers)
+    assert len(m.tv_layers) == 2 and calls == want
 
 
 def test_backward_skips_image_gradient(monkeypatch):
@@ -378,10 +394,11 @@ def test_checkpoint_tv_layers_rebound(tmp_path):
     m = LayoutModel.create(tv_spec(), seed=9)
     models.save_model(m, tmp_path / "c")
     back = models.load_model(tmp_path / "c")
-    layer = back.tv_layers["s0.b0.tv"]
-    # the rebuilt layer must alias the loaded arrays, not copy them
-    assert layer.affinity is back.params["s0.b0.tv.aff"]
-    assert layer.gen.w_out is back.params["s0.b0.tv.out.w"]
+    gen = back.tv_layers["s0.b0.tv"]
+    # the rebuilt generator must alias the loaded arrays, not copy them
+    assert gen.w_out is back.params["s0.b0.tv.out.w"]
+    for name, arr in gen.arrays():
+        assert arr is back.params[f"s0.b0.tv.{name}"]
 
 
 def test_load_rejects_wrong_param_shape(tmp_path):

@@ -185,9 +185,9 @@ def test_bad_splits_are_rejected():
         short = replace(ds, **{f"{split}_y": getattr(ds, f"{split}_y")[:5]})
         with pytest.raises(ValueError, match=f"{split}\\w* split has 8 images but 5 labels"):
             training.train(m, short, cfg())
-    ds.test_x[5, 0, 3, 3] = np.inf   # image 1 of the second batch
+    ds.test_x[5, 0, 3, 3] = np.inf   # named by its index in the split
     with pytest.raises(ValueError, match="image 5 has a non-finite value"):
-        training.evaluate(m, ds.test_x, ds.test_y, batch_size=4)
+        training.evaluate(m, ds.test_x, ds.test_y)
     ds.train_x[6, 0, 0, 0] = np.nan  # named by split index, not shuffled batch
     with pytest.raises(ValueError, match="image 6 has a non-finite value"):
         training.train(m, ds, cfg())
@@ -216,7 +216,21 @@ def test_overflowing_model_is_not_scored():
     x = ds.test_x.copy()
     x[:4] = 0.0   # a blank image pools to zero features: logits = head.b
     with pytest.raises(ValueError, match="image 4 has non-finite logits"):
-        training.evaluate(m, x, ds.test_y, batch_size=3)
+        training.evaluate(m, x, ds.test_y)
+
+
+def test_evaluate_predicts_once(monkeypatch):
+    # one predict over the whole 200-image split, not one per 128 images:
+    # each field is generated once per pass
+    m, ds = toy_model(op="tvconv"), toy_blobs(n=200)
+    calls = []
+    for attr in ("predict", "_field_node"):
+        orig = getattr(LayoutModel, attr)
+        monkeypatch.setattr(LayoutModel, attr, lambda *a, attr=attr, orig=orig, **kw:
+                            calls.append(attr) or orig(*a, **kw))
+    training.evaluate(m, ds.test_x, ds.test_y)
+    assert len(m.tv_layers) == 2
+    assert calls == ["predict"] + ["_field_node"] * len(m.tv_layers)
 
 
 def test_freeze_does_not_change_metric():
