@@ -1,18 +1,31 @@
 """Vectorized numpy kernels under the autograd ops and the operator module.
 
 All spatial kernels work on batched [n, c, h, w] arrays with zero "same"
-padding and odd square kernels; `pad_same` copies the input into the
-interior of a zeroed buffer. The per-position conv adds one kernel tap at
-a time in row-major (u, v) order: each tap is multiplied into one product
-buffer, allocated once per call, and added from there. The dense conv and
-its two gradients are one GEMM each over an im2col matrix, which at k = 1 is
-a reshape of the input. The bit-exact contracts hold by sharing a path:
-`dwconv` is `tvconv` on a field whose position axes have length 1, so a
-weight field that is constant over positions gives the depthwise output by
-construction, and a single-channel dense conv runs `dwconv`. The depthwise
-gradients keep their own loops: a flipped-filter `dwconv` for the input and
-a reduction over positions for the weight, both faster than the per-position
-gradients at one filter.
+padding and odd square kernels. The per-position conv and its weight
+gradient read a column-shifted stack of the input (`_shifted_stack`): plane
+v is the padded input moved v columns, so tap (u, v) is rows u..u+h-1 of
+plane v, one contiguous run of h*w values per (n, c) where a padded copy
+gives h strided runs of w. `tvconv` adds one tap at a time in row-major
+(u, v) order, starting from zeros: each tap is multiplied into one product
+buffer, allocated once per call, and added from there. That order and the
+zero start fix every output bit, signed zeros included. It walks channels in
+blocks whose slice of the field fits one core's L2 (`L2_BYTES`): every desk
+field is one block, the 7.2 MB field of a 32x56x56 layer is four. The dense
+conv and its two gradients are one GEMM each over an im2col matrix, which at
+k = 1 is a reshape of the input; `pad_same` copies the input into the
+interior of a zeroed buffer for it.
+
+The bit-exact contracts hold by sharing a path: `dwconv` is `tvconv` on a
+field whose position axes have length 1, so a weight field that is constant
+over positions gives the depthwise output by construction, and a
+single-channel dense conv runs `dwconv`. The depthwise gradients keep their
+own loops: a flipped-filter `dwconv` for the input and a reduction over
+positions for the weight, both faster than the per-position gradients at one
+filter. Two loops keep padded windows on purpose. `dwconv_dw`'s `->c` einsum
+groups its sum by the length of its inner loop, so on the stack it gives
+other bits at n = 1. `tvconv_dx` scatters each tap into a padded buffer; a
+flat form on the padded width needs widened copies of the gradient and the
+field, and a prototype of it was not reliably faster (0.87-1.13x).
 
 Layer norm returns only its per-sample moments next to its output, and the
 tape saves those two [n,1,1,1] arrays, not the normalized activation; the
@@ -26,6 +39,8 @@ from __future__ import annotations
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+L2_BYTES = 2 << 20  # one core's L2; a `tvconv` channel block's slice of the field fits it
 
 
 def pad_same(x: np.ndarray, k: int) -> np.ndarray:
@@ -90,17 +105,42 @@ def conv_dw(g: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
     return dw.reshape(co, x.shape[1], k, k)
 
 
+def _shifted_stack(x: np.ndarray, k: int) -> np.ndarray:
+    """[n,c,h,w] -> [k, n, c, h+2r, w], r = k // 2: plane v is the zero-padded
+    input shifted v columns, so tap (u, v) of a same-padded window is rows
+    u..u+h-1 of plane v, one contiguous run of h*w values per (n, c)."""
+    n, c, h, w = x.shape
+    r = k // 2
+    xs = np.zeros((k, n, c, h + 2 * r, w), dtype=x.dtype)
+    for v in range(k):
+        s = v - r  # column j of plane v holds column j + s of x
+        lo, hi = max(0, -s), min(w, w - s)
+        if lo < hi:
+            xs[v, :, :, r : r + h, lo:hi] = x[:, :, :, lo + s : hi + s]
+    return xs
+
+
 def tvconv(x: np.ndarray, w5: np.ndarray) -> np.ndarray:
     """Per-position depthwise conv: x [n,c,h,w], w5 [c,k,k,h,w] -> [n,c,h,w];
-    w5's two position axes may also be 1 (one filter for every position)."""
+    w5's two position axes may also be 1 (one filter for every position).
+    Any other field shape raises ValueError. Channels run in blocks whose
+    slice of the field fits L2_BYTES."""
     n, c, h, ww = x.shape
+    if w5.ndim != 5 or w5.shape[0] != c or w5.shape[3:] not in ((h, ww), (1, 1)):
+        raise ValueError(f"weight field of shape {w5.shape} does not fit input of shape "
+                         f"{x.shape}: want [{c}, k, k, {h}, {ww}] or [{c}, k, k, 1, 1]")
     k = w5.shape[1]
-    xp = pad_same(x, k)
-    out, prod = np.zeros_like(x), np.empty_like(x)
-    for u in range(k):
-        for v in range(k):
-            np.multiply(w5[:, u, v][None], xp[:, :, u : u + h, v : v + ww], out=prod)
-            out += prod
+    xs = _shifted_stack(x, k)
+    blocks = -(-w5.nbytes // L2_BYTES)  # the fewest whose field slices fit L2
+    step = -(-c // blocks)  # channels per block; the last block may be short
+    out, prod = np.zeros_like(x), np.empty((n, step, h, ww), dtype=x.dtype)
+    for c0 in range(0, c, step):
+        o, f = out[:, c0 : c0 + step], w5[c0 : c0 + step]
+        p = prod[:, : o.shape[1]]
+        for u in range(k):
+            for v in range(k):
+                np.multiply(f[:, u, v][None], xs[v, :, c0 : c0 + step, u : u + h], out=p)
+                o += p
     return out
 
 
@@ -119,11 +159,11 @@ def tvconv_dx(g: np.ndarray, w5: np.ndarray) -> np.ndarray:
 
 def tvconv_dw(g: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
     n, c, h, ww = x.shape
-    xp = pad_same(x, k)
+    xs = _shifted_stack(x, k)
     dw = np.zeros((c, k, k, h, ww), dtype=x.dtype)
     for u in range(k):
         for v in range(k):
-            dw[:, u, v] = np.einsum("nchw,nchw->chw", g, xp[:, :, u : u + h, v : v + ww])
+            dw[:, u, v] = np.einsum("nchw,nchw->chw", g, xs[v, :, :, u : u + h])
     return dw
 
 

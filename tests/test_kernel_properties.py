@@ -2,7 +2,11 @@
 
 `conv`, `conv_dx` and `conv_dw` run as one GEMM each, the depthwise and
 per-position kernels add one tap at a time into a reused product buffer, and
-layer norm keeps only its moments. The references here compute every output
+layer norm keeps only its moments. `tvconv` (and `dwconv` and `dwconv_dx`
+through it) and `tvconv_dw` read their taps from a column-shifted stack in
+channel blocks; the row-window loops they replaced are kept here as
+references, and the kernels must match them bit for bit, signed zeros
+included. The references here compute every output
 position as an explicit window sum (or scatter, for the input gradient) and
 the moments in two passes per sample. The ReLU that a layer norm can fuse
 must give the unfused output clamped, bit for bit, and mask the gradient
@@ -236,13 +240,58 @@ def dw_prop(test):
 
 
 def dw_arrays(n, c, h, w, k, dtype, seed):
-    """Input, depthwise kernel [c,k,k], weight field [c,k,k,h,w], output grad."""
+    """Input, depthwise kernel [c,k,k], weight field [c,k,k,h,w], output grad.
+
+    The input and the gradient look like ReLU outputs and masked gradients:
+    zero wherever the input is not positive, and in the top half of the map.
+    Even channels' filters are negative, so where a window holds only zeros
+    and padding every product is -0.0 and the sum's sign bit shows how it
+    was started."""
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n, c, h, w)).astype(dtype)
+    x = np.maximum(rng.standard_normal((n, c, h, w)), 0).astype(dtype)
+    x[:, :, : h // 2] = 0
     wt = rng.standard_normal((c, k, k)).astype(dtype)
     w5 = rng.standard_normal((c, k, k, h, w)).astype(dtype)
-    g = rng.standard_normal((n, c, h, w)).astype(dtype)
+    wt[::2], w5[::2] = -abs(wt[::2]), -abs(w5[::2])
+    g = (rng.standard_normal((n, c, h, w)) * (x > 0)).astype(dtype)
     return x, wt, w5, g
+
+
+def row_window_tvconv(x, w5):
+    """The per-position loop the shifted stack replaced: from zeros, add tap
+    (u, v) in row-major order, read as h strided rows of a padded copy."""
+    n, c, h, ww = x.shape
+    k = w5.shape[1]
+    r = k // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (r, r), (r, r)))
+    out, prod = np.zeros_like(x), np.empty_like(x)
+    for u in range(k):
+        for v in range(k):
+            np.multiply(w5[:, u, v][None], xp[:, :, u:u + h, v:v + ww], out=prod)
+            out += prod
+    return out
+
+
+def row_window_tvconv_dw(g, x, k):
+    n, c, h, ww = x.shape
+    r = k // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (r, r), (r, r)))
+    dw = np.zeros((c, k, k, h, ww), dtype=x.dtype)
+    for u in range(k):
+        for v in range(k):
+            dw[:, u, v] = np.einsum("nchw,nchw->chw", g, xp[:, :, u:u + h, v:v + ww])
+    return dw
+
+
+def flat(w):
+    """A depthwise kernel as a field with length-1 position axes."""
+    return w[..., None, None]
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def at(w, i, j):
@@ -291,13 +340,17 @@ def check(got, want, dtype):
 @dw_prop
 def test_dwconv_matches_window_sums(n, c, h, w, k, dtype, seed):
     x, wt, _, _ = dw_arrays(n, c, h, w, k, dtype, seed)
-    check(kernels.dwconv(x, wt), per_tap_ref(x, wt), dtype)
+    got = kernels.dwconv(x, wt)
+    check(got, per_tap_ref(x, wt), dtype)
+    assert_same_bits(got, row_window_tvconv(x, flat(wt)))
 
 
 @dw_prop
 def test_dwconv_dx_matches_scatter(n, c, h, w, k, dtype, seed):
     _, wt, _, g = dw_arrays(n, c, h, w, k, dtype, seed)
-    check(kernels.dwconv_dx(g, wt), per_tap_dx_ref(g, wt), dtype)
+    got = kernels.dwconv_dx(g, wt)
+    check(got, per_tap_dx_ref(g, wt), dtype)
+    assert_same_bits(got, row_window_tvconv(g, flat(wt[:, ::-1, ::-1])))
 
 
 @dw_prop
@@ -309,7 +362,9 @@ def test_dwconv_dw_matches_window_sums(n, c, h, w, k, dtype, seed):
 @dw_prop
 def test_tvconv_matches_window_sums(n, c, h, w, k, dtype, seed):
     x, _, w5, _ = dw_arrays(n, c, h, w, k, dtype, seed)
-    check(kernels.tvconv(x, w5), per_tap_ref(x, w5), dtype)
+    got = kernels.tvconv(x, w5)
+    check(got, per_tap_ref(x, w5), dtype)
+    assert_same_bits(got, row_window_tvconv(x, w5))
 
 
 @dw_prop
@@ -321,7 +376,46 @@ def test_tvconv_dx_matches_scatter(n, c, h, w, k, dtype, seed):
 @dw_prop
 def test_tvconv_dw_matches_window_sums(n, c, h, w, k, dtype, seed):
     x, _, _, g = dw_arrays(n, c, h, w, k, dtype, seed)
-    check(kernels.tvconv_dw(g, x, k), per_tap_dw_ref(g, x, k, True), dtype)
+    got = kernels.tvconv_dw(g, x, k)
+    check(got, per_tap_dw_ref(g, x, k, True), dtype)
+    assert_same_bits(got, row_window_tvconv_dw(g, x, k))
+
+
+@pytest.mark.parametrize("n, c, h, w", [
+    (32, 8, 16, 16), (32, 16, 8, 8),  # desk training and b128 blocks
+    (1, 32, 56, 56),                  # the paper-scale layer: four channel blocks
+    (1, 33, 56, 56),                  # the last of four blocks is short
+])
+def test_benchmark_shapes_match_row_windows_bitwise(n, c, h, w):
+    x, wt, w5, g = dw_arrays(n, c, h, w, 3, np.float64, seed=c * h)
+    assert (w5.nbytes > kernels.L2_BYTES) == (h == 56)
+    assert_same_bits(kernels.tvconv(x, w5), row_window_tvconv(x, w5))
+    assert_same_bits(kernels.dwconv(x, wt), row_window_tvconv(x, flat(wt)))
+    assert_same_bits(kernels.dwconv_dx(g, wt), row_window_tvconv(g, flat(wt[:, ::-1, ::-1])))
+    assert_same_bits(kernels.tvconv_dw(g, x, 3), row_window_tvconv_dw(g, x, 3))
+    # Some windows hold only zeros and padding; in the even (negative) channels
+    # every product there is -0.0, and only the zero start gives +0.0.
+    empty = row_window_tvconv((x != 0).astype(x.dtype), np.ones_like(w5)) == 0
+    assert empty[:, ::2].any()
+
+
+@pytest.mark.parametrize("field, x_shape", [
+    ((1, 3, 3, 1, 1), (2, 3, 4, 5)),  # one channel's filter for three channels
+    ((3, 3, 3, 4, 1), (2, 3, 4, 5)),  # a column of filters for a 4x5 map
+    ((3, 3, 3, 5, 4), (2, 3, 4, 5)),  # the map's axes swapped
+    ((3, 3, 3), (2, 3, 4, 5)),        # a depthwise kernel passed as a field
+])
+def test_tvconv_refuses_a_field_that_does_not_fit(field, x_shape):
+    x, w5 = np.ones(x_shape), np.ones(field)
+    with pytest.raises(ValueError) as err:
+        kernels.tvconv(x, w5)
+    assert str(field) in str(err.value) and str(x_shape) in str(err.value)
+
+
+def test_dwconv_refuses_one_filter_for_many_channels():
+    x, wt, _, _ = dw_arrays(2, 3, 4, 5, 3, np.float64, seed=15)
+    with pytest.raises(ValueError, match=r"\(1, 3, 3, 1, 1\).*\(2, 3, 4, 5\)"):
+        kernels.dwconv(x, wt[:1])
 
 
 @dw_prop
