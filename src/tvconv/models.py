@@ -21,8 +21,9 @@ and snapshots the raw bytes of every parameter, so frozen `predict` and
 name the parameter.
 
 `predict` walks the chain over blocks of at most PREDICT_BLOCK = 32 images,
-whose stem activation (2 MB) fits one core's L2 cache, and runs the head once
-on all the pooled features, so its logits equal `forward`'s bit for bit.
+whose stem activation (2 MB) fits one core's L2 (`kernels.L2_BYTES`), and
+runs the head once on all the pooled features, so its logits equal
+`forward`'s bit for bit.
 
 Parameters live in one ordered name -> array dict. The arrays are shared
 (never copied) with each per-position block's `GeneratorParams` and with the
@@ -288,9 +289,9 @@ class LayoutModel:
 
         The guard, the input check and each field run once per call. The
         chain then walks blocks of at most PREDICT_BLOCK images: 32 desk
-        images make a 2 MB stem activation (8 x 32 x 32 float64 each), one
-        core's L2 cache on the 2-vCPU Xeon the benchmark runs on, so no op
-        streams a whole b128 batch's 8 MB arrays from L3. The head
+        images make a 2 MB stem activation (8 x 32 x 32 float64 each), which
+        fits one core's L2 (`kernels.L2_BYTES`), so no op streams a whole
+        b128 batch's 8 MB arrays from L3. The head
         runs once, on the pooled features of all blocks: every op before it
         gives the same bits at any batch size, but the head's [1, c] GEMM
         (a BLAS gemv) rounds a lone row differently from the same row in a

@@ -226,12 +226,14 @@ def test_layer_norm_bwd_matches_two_pass(n, c, h, w, dtype, seed, relu):
 
 # --- depthwise and per-position kernels ----------------------------------------
 
-DW_DIMS = dict(LN_DIMS, k=DIMS["k"])
+DW_DIMS = dict(LN_DIMS, k=DIMS["k"], relu=st.booleans())
 DW_EXAMPLES = [
-    dict(n=2, c=3, h=1, w=6, k=5, dtype=np.float64, seed=11),
-    dict(n=3, c=2, h=6, w=1, k=3, dtype=np.float32, seed=12),
-    dict(n=1, c=4, h=2, w=3, k=5, dtype=np.float32, seed=13),
-    dict(n=2, c=1, h=4, w=5, k=1, dtype=np.float64, seed=14),
+    dict(n=2, c=3, h=1, w=6, k=5, dtype=np.float64, seed=11, relu=False),
+    dict(n=3, c=2, h=6, w=1, k=3, dtype=np.float32, seed=12, relu=False),
+    dict(n=1, c=4, h=2, w=3, k=5, dtype=np.float32, seed=13, relu=False),
+    dict(n=2, c=1, h=4, w=5, k=1, dtype=np.float64, seed=14, relu=False),
+    dict(n=2, c=4, h=4, w=5, k=3, dtype=np.float64, seed=16, relu=True),
+    dict(n=1, c=2, h=6, w=3, k=5, dtype=np.float32, seed=17, relu=True),
 ]
 
 
@@ -239,21 +241,24 @@ def dw_prop(test):
     return prop(test, DW_DIMS, DW_EXAMPLES)
 
 
-def dw_arrays(n, c, h, w, k, dtype, seed):
+def dw_arrays(n, c, h, w, k, dtype, seed, relu=False):
     """Input, depthwise kernel [c,k,k], weight field [c,k,k,h,w], output grad.
 
-    The input and the gradient look like ReLU outputs and masked gradients:
-    zero wherever the input is not positive, and in the top half of the map.
-    Even channels' filters are negative, so where a window holds only zeros
-    and padding every product is -0.0 and the sum's sign bit shows how it
-    was started."""
+    With `relu` the input and the gradient look like ReLU outputs and masked
+    gradients: zero wherever the input is not positive, and in the top half
+    of the map. Even channels' filters are then negative, so where a window
+    holds only zeros and padding every product is -0.0 and the sum's sign
+    bit shows how it was started."""
     rng = np.random.default_rng(seed)
-    x = np.maximum(rng.standard_normal((n, c, h, w)), 0).astype(dtype)
-    x[:, :, : h // 2] = 0
+    x = rng.standard_normal((n, c, h, w)).astype(dtype)
     wt = rng.standard_normal((c, k, k)).astype(dtype)
     w5 = rng.standard_normal((c, k, k, h, w)).astype(dtype)
-    wt[::2], w5[::2] = -abs(wt[::2]), -abs(w5[::2])
-    g = (rng.standard_normal((n, c, h, w)) * (x > 0)).astype(dtype)
+    g = rng.standard_normal((n, c, h, w)).astype(dtype)
+    if relu:
+        x = np.maximum(x, 0)
+        x[:, :, : h // 2] = 0
+        g = g * (x > 0)
+        wt[::2], w5[::2] = -abs(wt[::2]), -abs(w5[::2])
     return x, wt, w5, g
 
 
@@ -338,44 +343,44 @@ def check(got, want, dtype):
 
 
 @dw_prop
-def test_dwconv_matches_window_sums(n, c, h, w, k, dtype, seed):
-    x, wt, _, _ = dw_arrays(n, c, h, w, k, dtype, seed)
+def test_dwconv_matches_window_sums(n, c, h, w, k, dtype, seed, relu):
+    x, wt, _, _ = dw_arrays(n, c, h, w, k, dtype, seed, relu)
     got = kernels.dwconv(x, wt)
     check(got, per_tap_ref(x, wt), dtype)
     assert_same_bits(got, row_window_tvconv(x, flat(wt)))
 
 
 @dw_prop
-def test_dwconv_dx_matches_scatter(n, c, h, w, k, dtype, seed):
-    _, wt, _, g = dw_arrays(n, c, h, w, k, dtype, seed)
+def test_dwconv_dx_matches_scatter(n, c, h, w, k, dtype, seed, relu):
+    _, wt, _, g = dw_arrays(n, c, h, w, k, dtype, seed, relu)
     got = kernels.dwconv_dx(g, wt)
     check(got, per_tap_dx_ref(g, wt), dtype)
     assert_same_bits(got, row_window_tvconv(g, flat(wt[:, ::-1, ::-1])))
 
 
 @dw_prop
-def test_dwconv_dw_matches_window_sums(n, c, h, w, k, dtype, seed):
-    x, _, _, g = dw_arrays(n, c, h, w, k, dtype, seed)
+def test_dwconv_dw_matches_window_sums(n, c, h, w, k, dtype, seed, relu):
+    x, _, _, g = dw_arrays(n, c, h, w, k, dtype, seed, relu)
     check(kernels.dwconv_dw(g, x, k), per_tap_dw_ref(g, x, k, False), dtype)
 
 
 @dw_prop
-def test_tvconv_matches_window_sums(n, c, h, w, k, dtype, seed):
-    x, _, w5, _ = dw_arrays(n, c, h, w, k, dtype, seed)
+def test_tvconv_matches_window_sums(n, c, h, w, k, dtype, seed, relu):
+    x, _, w5, _ = dw_arrays(n, c, h, w, k, dtype, seed, relu)
     got = kernels.tvconv(x, w5)
     check(got, per_tap_ref(x, w5), dtype)
     assert_same_bits(got, row_window_tvconv(x, w5))
 
 
 @dw_prop
-def test_tvconv_dx_matches_scatter(n, c, h, w, k, dtype, seed):
-    _, _, w5, g = dw_arrays(n, c, h, w, k, dtype, seed)
+def test_tvconv_dx_matches_scatter(n, c, h, w, k, dtype, seed, relu):
+    _, _, w5, g = dw_arrays(n, c, h, w, k, dtype, seed, relu)
     check(kernels.tvconv_dx(g, w5), per_tap_dx_ref(g, w5), dtype)
 
 
 @dw_prop
-def test_tvconv_dw_matches_window_sums(n, c, h, w, k, dtype, seed):
-    x, _, _, g = dw_arrays(n, c, h, w, k, dtype, seed)
+def test_tvconv_dw_matches_window_sums(n, c, h, w, k, dtype, seed, relu):
+    x, _, _, g = dw_arrays(n, c, h, w, k, dtype, seed, relu)
     got = kernels.tvconv_dw(g, x, k)
     check(got, per_tap_dw_ref(g, x, k, True), dtype)
     assert_same_bits(got, row_window_tvconv_dw(g, x, k))
@@ -386,17 +391,19 @@ def test_tvconv_dw_matches_window_sums(n, c, h, w, k, dtype, seed):
     (1, 32, 56, 56),                  # the paper-scale layer: four channel blocks
     (1, 33, 56, 56),                  # the last of four blocks is short
 ])
-def test_benchmark_shapes_match_row_windows_bitwise(n, c, h, w):
-    x, wt, w5, g = dw_arrays(n, c, h, w, 3, np.float64, seed=c * h)
+@pytest.mark.parametrize("relu", [False, True])
+def test_benchmark_shapes_match_row_windows_bitwise(n, c, h, w, relu):
+    x, wt, w5, g = dw_arrays(n, c, h, w, 3, np.float64, seed=c * h, relu=relu)
     assert (w5.nbytes > kernels.L2_BYTES) == (h == 56)
     assert_same_bits(kernels.tvconv(x, w5), row_window_tvconv(x, w5))
     assert_same_bits(kernels.dwconv(x, wt), row_window_tvconv(x, flat(wt)))
     assert_same_bits(kernels.dwconv_dx(g, wt), row_window_tvconv(g, flat(wt[:, ::-1, ::-1])))
     assert_same_bits(kernels.tvconv_dw(g, x, 3), row_window_tvconv_dw(g, x, 3))
-    # Some windows hold only zeros and padding; in the even (negative) channels
-    # every product there is -0.0, and only the zero start gives +0.0.
-    empty = row_window_tvconv((x != 0).astype(x.dtype), np.ones_like(w5)) == 0
-    assert empty[:, ::2].any()
+    if relu:
+        # Some windows hold only zeros and padding; in the even (negative)
+        # channels every product there is -0.0, and only the zero start gives +0.0.
+        empty = row_window_tvconv((x != 0).astype(x.dtype), np.ones_like(w5)) == 0
+        assert empty[:, ::2].any()
 
 
 @pytest.mark.parametrize("field, x_shape", [
@@ -419,8 +426,8 @@ def test_dwconv_refuses_one_filter_for_many_channels():
 
 
 @dw_prop
-def test_constant_field_is_dwconv_bitwise(n, c, h, w, k, dtype, seed):
+def test_constant_field_is_dwconv_bitwise(n, c, h, w, k, dtype, seed, relu):
     # Gate criterion 1 checks this at n = 1; the batch must not change it.
-    x, wt, _, _ = dw_arrays(3, c, h, w, k, dtype, seed)
+    x, wt, _, _ = dw_arrays(3, c, h, w, k, dtype, seed, relu)
     field = np.broadcast_to(wt[..., None, None], (c, k, k, h, w)).copy()
     assert np.array_equal(kernels.tvconv(x, field), kernels.dwconv(x, wt))
