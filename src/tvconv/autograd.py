@@ -9,6 +9,10 @@ gradient map for parameter leaves. Backward rules are looked up in a registry
 keyed by op name so an unknown op on the tape is a hard error rather than a
 silent zero.
 
+Layer norm is the one op with an epilogue (`layer_norm`'s residual, ReLU
+and stride), so the model's walk builds no `add`, `relu` or `subsample`
+node; those ops keep their rules for the gradient suite and the tests.
+
 Batched layouts are [n, c, h, w] throughout.
 """
 
@@ -134,19 +138,38 @@ def _tvconv_bwd(n, g):
     return dx, dw5.reshape(wf.value.shape)
 
 
-def layer_norm(x: Node, gamma: Node, beta: Node, eps: float = 1e-5,
-               relu: bool = False) -> Node:
-    """Layer norm, and with `relu` the ReLU after it, as one node."""
-    y, mean, inv_std = kernels.layer_norm_fwd(x.value, gamma.value, beta.value, eps, relu=relu)
-    return Node("layer_norm", y, (x, gamma, beta),
-                {"mean": mean, "inv_std": inv_std, "relu": relu})
+def layer_norm(x: Node, gamma: Node, beta: Node, eps: float = 1e-5, relu: bool = False,
+               residual: Node | None = None, stride: int = 1) -> Node:
+    """Layer norm and its epilogue as one node: after the affine, add
+    `residual`, then the ReLU with `relu`, then keep every `stride`-th row and
+    column. The residual is a fourth parent."""
+    res = None if residual is None else residual.value
+    y, mean, inv_std = kernels.layer_norm_fwd(x.value, gamma.value, beta.value, eps,
+                                              relu=relu, residual=res, stride=stride)
+    parents = (x, gamma, beta) if residual is None else (x, gamma, beta, residual)
+    return Node("layer_norm", y, parents,
+                {"mean": mean, "inv_std": inv_std, "relu": relu, "stride": stride})
 
 
 @_rule("layer_norm")
 def _layer_norm_bwd(n, g):
-    x, gamma, _ = n.parents
-    return kernels.layer_norm_bwd(g, x.value, n.saved["mean"], n.saved["inv_std"], gamma.value,
-                                  n.value if n.saved["relu"] else None)
+    x, gamma = n.parents[0].value, n.parents[1].value
+    s = n.saved["stride"]
+    y = n.value if n.saved["relu"] else None
+    if s > 1 or len(n.parents) == 4:
+        # The gradient at the residual add is also the residual's, so the rule
+        # masks it by the ReLU itself, then scatters the kept positions into
+        # zeros as `subsample`'s rule does; those zeros are +0.0, which the
+        # mask keeps, so masking first gives the same bits.
+        if y is not None:
+            g = g * (y > 0)
+        if s > 1:
+            full = np.zeros_like(x)
+            full[:, :, ::s, ::s] = g
+            g = full
+        y = None
+    grads = kernels.layer_norm_bwd(g, x, n.saved["mean"], n.saved["inv_std"], gamma, y)
+    return grads + (g,) if len(n.parents) == 4 else grads
 
 
 def linear(x: Node, w: Node, b: Node) -> Node:

@@ -210,12 +210,17 @@ def _well_conditioned(grads, floor=1e-3):
 
 
 def _relu_input(n: ag.Node) -> np.ndarray:
-    """What a ReLU node, or the ReLU fused into a layer norm node, clamps."""
+    """What a ReLU node, or the ReLU fused into a layer norm node, clamps: for
+    the norm, its affine plus any residual, at the positions its stride keeps."""
     if n.op == "relu":
         return n.parents[0].value
-    x, gamma, beta = (p.value for p in n.parents)
+    x, gamma, beta, *residual = (p.value for p in n.parents)
+    s = n.saved["stride"]
     xhat = (x - n.saved["mean"]) * n.saved["inv_std"]
-    return xhat * gamma[:, None, None] + beta[:, None, None]
+    pre = xhat * gamma[:, None, None] + beta[:, None, None]
+    if residual:
+        pre += residual[0]
+    return pre[:, :, ::s, ::s]
 
 
 def check_op(op: str, rng: np.random.Generator, tol: float = 1e-5, eps: float = 1e-6,

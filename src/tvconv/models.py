@@ -8,17 +8,20 @@ entered with the stage's stride and the stage's inverted-residual blocks
 loop (`_features`) runs it up to the pool for both `forward` (the tape, whole
 batch) and `predict` (no tape); `model_macs` prices it with the cost model's
 `chain_cost`. A plain block is conv -> layer norm + relu, as in the weight
-generator; a relu always runs fused into the norm before it, as one tape op. A residual block adds spatial
-op -> norm + relu -> pointwise -> norm onto its input; the projection stays
-linear and its norm gain starts small (BRANCH_GAIN), so blocks begin near
-identity and gradients flow through the skip even when a hot momentum step
-would otherwise kill every relu in the branch (how the unnormalized variant
-dies on some seeds). The spatial op is a shared depthwise
-filter or the per-position variant, whose generator and affinity maps are
-bound to its feature-map size. `freeze` caches every per-position weight field
-and snapshots the raw bytes of every parameter, so frozen `predict` and
-`weight_fields` refuse to serve after any bit of any parameter changed and
-name the parameter.
+generator; a relu always runs fused into the norm before it, as one tape op.
+A residual block adds spatial op -> norm + relu -> pointwise -> norm onto its
+input, and that last norm runs the add. A block's last norm also runs the
+entry stride of the block after it when that is a transition, so it writes
+only the rows and columns the transition reads (`kernels.layer_norm_fwd`'s
+epilogue). The projection stays linear and its norm gain starts small
+(BRANCH_GAIN), so blocks begin near identity and gradients flow through the
+skip even when a hot momentum step would otherwise kill every relu in the
+branch (how the unnormalized variant dies on some seeds). The spatial op is
+a shared depthwise filter or the per-position variant, whose generator and
+affinity maps are bound to its feature-map size. `freeze` caches every
+per-position weight field and snapshots the raw bytes of every parameter, so
+frozen `predict` and `weight_fields` refuse to serve after any bit of any
+parameter changed and name the parameter.
 
 `predict` walks the chain over blocks of at most PREDICT_BLOCK = 32 images,
 whose stem activation (2 MB) fits one core's L2 (`kernels.L2_BYTES`), and
@@ -224,28 +227,30 @@ class LayoutModel:
         return x
 
     def _features(self, x: np.ndarray, fields: dict[str, ag.Node]) -> ag.Node:
-        """The chain up to the global mean pool: features [n, c]."""
+        """The chain up to the global mean pool: features [n, c]. Each block's
+        last norm runs the epilogue: a residual block's skip add, and the
+        entry stride of the next block when that block is a plain one (a
+        transition), so the walk builds no `subsample` or `add` node.
+        `desk_arch` gives the stem, which no norm precedes, stride 1."""
         leaves = self.leaves
 
-        def lnr(node, prefix):
+        def ln(node, prefix, relu=True, **epilogue):
             return ag.layer_norm(node, leaves[f"{prefix}.g"], leaves[f"{prefix}.b"],
-                                 relu=True)
+                                 relu=relu, **epilogue)
 
         h = ag.constant(x)
-        for p, b in self.chain:
+        nxt = [b.stride if b.kind == "plain" else 1 for _, b in self.chain[1:]] + [1]
+        for (p, b), stride in zip(self.chain, nxt):
             if b.kind == "plain":
-                if b.stride > 1:
-                    h = ag.subsample(h, b.stride)
-                h = lnr(ag.conv(h, leaves[f"{p}.w"]), f"{p}.ln")
+                h = ln(ag.conv(h, leaves[f"{p}.w"]), f"{p}.ln", stride=stride)
                 continue
             if b.op == "depthwise":
                 r = ag.dwconv(h, leaves[f"{p}.dw.w"])
             else:
                 r = ag.tvconv(h, fields[f"{p}.tv"], b.k)
-            r = lnr(r, f"{p}.sp.ln")
+            r = ln(r, f"{p}.sp.ln")
             r = ag.conv(r, leaves[f"{p}.pw.w"])
-            r = ag.layer_norm(r, leaves[f"{p}.pw.ln.g"], leaves[f"{p}.pw.ln.b"])
-            h = ag.add(h, r)
+            h = ln(r, f"{p}.pw.ln", relu=False, residual=h, stride=stride)
         return ag.pool_mean(h)
 
     def _head(self, features: ag.Node) -> ag.Node:

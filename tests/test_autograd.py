@@ -197,6 +197,35 @@ class TestOpGradients:
             {"x": x, "g": gamma, "b": beta},
         )
 
+    @pytest.mark.parametrize("shape, relu, residual, stride", [
+        ((2, 3, 4, 4), True, False, 2),
+        ((2, 3, 3, 3), False, True, 1),
+        ((2, 3, 4, 6), False, True, 2),
+        ((2, 2, 5, 7), True, True, 2),  # an odd map keeps rows and columns 0, 2, 4, ...
+    ], ids=["relu-stride", "residual", "residual-stride", "odd-relu-residual-stride"])
+    def test_layer_norm_epilogue(self, shape, relu, residual, stride):
+        n, c, h, w = shape
+        params = {"x": self.rng.standard_normal(shape) * 2 + 1,
+                  "g": self.rng.uniform(0.5, 1.5, c), "b": self.rng.standard_normal(c)}
+        if residual:
+            params["res"] = self.rng.standard_normal(shape)
+        r = self.rng.uniform(0.5, 1.5, (n, c, -(-h // stride), -(-w // stride)))
+
+        def norm(nodes, relu=relu):
+            return ag.layer_norm(nodes["x"], nodes["g"], nodes["b"], relu=relu,
+                                 residual=nodes.get("res"), stride=stride)
+
+        if relu:  # the differences must not cross the kink
+            pre = norm({k: ag.leaf(v) for k, v in params.items()}, relu=False).value
+            assert np.abs(pre).min() > 1e-4 and (pre < 0).any()
+        check_op(lambda nodes: ag.ssum(ag.mul_const(norm(nodes), r)), params)
+
+    def test_layer_norm_residual_must_match(self):
+        x, g, b = ag.leaf(np.ones((2, 3, 4, 4))), ag.leaf(np.ones(3)), ag.leaf(np.zeros(3))
+        with pytest.raises(ValueError, match=r"residual of shape \(2, 3, 2, 2\) does not "
+                                             r"match input of shape \(2, 3, 4, 4\)"):
+            ag.layer_norm(x, g, b, residual=ag.leaf(np.ones((2, 3, 2, 2))))
+
     def test_linear(self):
         x = self.rng.standard_normal((4, 5))
         w = self.rng.standard_normal((5, 3))

@@ -46,14 +46,22 @@ def test_zero_instances_rejected():
 
 def test_fused_relu_inputs_are_checked_for_kinks():
     # A ReLU fused into a layer norm leaves no `relu` node on the tape; the
-    # kink check rebuilds what it clamps from the norm's saved moments.
+    # kink check rebuilds what it clamps from the norm's saved moments, and
+    # from its residual and stride, which it applies as the norm does.
     gen = GeneratorParams.create(2, 3, affinity_channels=2, depth=2, width=3, seed=0)
     nodes = {name: ag.leaf(arr) for name, arr in gen.arrays()}
-    nodes["affinity"] = ag.leaf(np.random.default_rng(0).standard_normal((2, 4, 5)))
+    rng = np.random.default_rng(0)
+    nodes["affinity"] = ag.leaf(rng.standard_normal((2, 4, 5)))
     tape = ag._topo(generator_field(nodes, gen))
     fused = [n for n in tape if n.op == "layer_norm" and n.saved["relu"]]
     assert len(fused) == gen.depth and not any(n.op == "relu" for n in tape)
+    x, res = (ag.leaf(rng.standard_normal((2, 3, 5, 4))) for _ in range(2))
+    fused.append(ag.layer_norm(x, ag.leaf(rng.uniform(0.5, 1.5, 3)),
+                               ag.leaf(rng.standard_normal(3)), gen.eps, relu=True,
+                               residual=res, stride=2))
     for n in fused:
-        linear = ag.layer_norm(*n.parents, gen.eps).value
+        x, gamma, beta, *res = n.parents
+        linear = ag.layer_norm(x, gamma, beta, gen.eps, residual=res[0] if res else None,
+                               stride=n.saved["stride"]).value
         np.testing.assert_allclose(gradsuite._relu_input(n), linear, rtol=0, atol=1e-14)
         assert np.array_equal(n.value, np.maximum(linear, 0))

@@ -3,10 +3,10 @@
 `conv`, `conv_dx` and `conv_dw` run as one GEMM each, the depthwise and
 per-position kernels add one tap at a time into a reused product buffer, and
 layer norm keeps only its moments. `tvconv` (and `dwconv` and `dwconv_dx`
-through it) and `tvconv_dw` read their taps from a column-shifted stack in
-channel blocks; the row-window loops they replaced are kept here as
-references, and the kernels must match them bit for bit, signed zeros
-included. The references here compute every output
+through it), `tvconv_dx` and `tvconv_dw` read their taps from a
+column-shifted stack in channel blocks; the row-window and scatter loops
+they replaced are kept here as references, and the kernels must match them
+bit for bit, signed zeros included. The references here compute every output
 position as an explicit window sum (or scatter, for the input gradient) and
 the moments in two passes per sample. The ReLU that a layer norm can fuse
 must give the unfused output clamped, bit for bit, and mask the gradient
@@ -288,6 +288,21 @@ def row_window_tvconv_dw(g, x, k):
     return dw
 
 
+def scatter_tvconv_dx(g, w5):
+    """The input-gradient loop the shifted stack replaced: from zeros, add
+    each tap's product in row-major order into a window of a padded buffer."""
+    n, c, h, ww = g.shape
+    k = w5.shape[1]
+    r = k // 2
+    dxp = np.zeros((n, c, h + 2 * r, ww + 2 * r), dtype=g.dtype)
+    prod = np.empty_like(g)
+    for u in range(k):
+        for v in range(k):
+            np.multiply(w5[:, u, v][None], g, out=prod)
+            dxp[:, :, u:u + h, v:v + ww] += prod
+    return dxp[:, :, r:r + h, r:r + ww]
+
+
 def flat(w):
     """A depthwise kernel as a field with length-1 position axes."""
     return w[..., None, None]
@@ -375,7 +390,9 @@ def test_tvconv_matches_window_sums(n, c, h, w, k, dtype, seed, relu):
 @dw_prop
 def test_tvconv_dx_matches_scatter(n, c, h, w, k, dtype, seed, relu):
     _, _, w5, g = dw_arrays(n, c, h, w, k, dtype, seed, relu)
-    check(kernels.tvconv_dx(g, w5), per_tap_dx_ref(g, w5), dtype)
+    got = kernels.tvconv_dx(g, w5)
+    check(got, per_tap_dx_ref(g, w5), dtype)
+    assert_same_bits(got, scatter_tvconv_dx(g, w5))
 
 
 @dw_prop
@@ -399,6 +416,7 @@ def test_benchmark_shapes_match_row_windows_bitwise(n, c, h, w, relu):
     assert_same_bits(kernels.dwconv(x, wt), row_window_tvconv(x, flat(wt)))
     assert_same_bits(kernels.dwconv_dx(g, wt), row_window_tvconv(g, flat(wt[:, ::-1, ::-1])))
     assert_same_bits(kernels.tvconv_dw(g, x, 3), row_window_tvconv_dw(g, x, 3))
+    assert_same_bits(kernels.tvconv_dx(g, w5), scatter_tvconv_dx(g, w5))
     if relu:
         # Some windows hold only zeros and padding; in the even (negative)
         # channels every product there is -0.0, and only the zero start gives +0.0.

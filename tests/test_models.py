@@ -95,19 +95,73 @@ def test_forward_shapes_and_finite():
 def test_layer_norm_saves_no_activation():
     # The backward rule rebuilds x-hat from the node's input, so the tape
     # keeps two numbers per sample for each layer norm, not a second copy,
-    # plus the flag of the ReLU fused into it, which leaves no relu node.
+    # plus the flag of the ReLU fused into it, which leaves no relu node, and
+    # the stride of the next block's entry, which leaves no subsample node; the
+    # skip add runs in the projection norm, which leaves no add node.
     m = LayoutModel.create(tv_spec(), seed=1)
     x = np.random.default_rng(0).normal(size=(4, 1, 32, 32))
     tape = ag._topo(m.loss(x, np.arange(4)))
     norms = [n for n in tape if n.op == "layer_norm"]
     assert len(norms) == 9  # 7 in the body, one in each tvconv block's generator
     for n in norms:
-        assert set(n.saved) == {"mean", "inv_std", "relu"}
-        assert isinstance(n.saved["relu"], bool)
+        assert set(n.saved) == {"mean", "inv_std", "relu", "stride"}
+        assert isinstance(n.saved["relu"], bool) and isinstance(n.saved["stride"], int)
         arrays = [v for v in n.saved.values() if isinstance(v, np.ndarray)]
         assert len(arrays) == 2
         assert all(v.shape == (len(n.value), 1, 1, 1) for v in arrays)
-    assert not any(n.op == "relu" for n in tape)
+    assert not any(n.op in ("relu", "subsample", "add") for n in tape)
+    assert sorted(n.saved["stride"] for n in norms) == [1] * 7 + [2, 2]
+
+
+def unfused_features(m, x, fields):
+    """The walk before the norms ran the epilogue: a transition subsamples its
+    input in a `subsample` node, and a residual block adds its branch onto
+    its input in an `add` node."""
+    leaves = m.leaves
+
+    def ln(node, prefix, relu=True):
+        return ag.layer_norm(node, leaves[f"{prefix}.g"], leaves[f"{prefix}.b"], relu=relu)
+
+    h = ag.constant(x)
+    for p, b in m.chain:
+        if b.kind == "plain":
+            if b.stride > 1:
+                h = ag.subsample(h, b.stride)
+            h = ln(ag.conv(h, leaves[f"{p}.w"]), f"{p}.ln")
+            continue
+        r = (ag.dwconv(h, leaves[f"{p}.dw.w"]) if b.op == "depthwise"
+             else ag.tvconv(h, fields[f"{p}.tv"], b.k))
+        r = ag.conv(ln(r, f"{p}.sp.ln"), leaves[f"{p}.pw.w"])
+        h = ag.add(h, ln(r, f"{p}.pw.ln", relu=False))
+    return ag.pool_mean(h)
+
+
+@pytest.mark.parametrize("n", [1, 33])
+@pytest.mark.parametrize("frozen", [False, True], ids=["eager", "frozen"])
+@pytest.mark.parametrize("op", models.OPERATORS)
+def test_fused_walk_equals_unfused_bitwise(op, frozen, n):
+    # The stride and the skip add run inside the norms; logits and every
+    # parameter gradient keep the bits of the walk with separate nodes.
+    m = LayoutModel.create(models.default_model_spec(op), seed=5)
+    rng = np.random.default_rng(n)
+    x, y = rng.normal(size=(n, 1, 32, 32)), rng.integers(0, 8, n)
+    if not frozen:
+        fused = ag.softmax_xent(m.forward(x), y)
+        unfused = ag.softmax_xent(m._head(unfused_features(m, x, m._fields())), y)
+        assert fused.parents[0].value.tobytes() == unfused.parents[0].value.tobytes()
+        got = {p.name: g for p, g in ag.backward(fused).items()}
+        want = {p.name: g for p, g in ag.backward(unfused).items()}
+        assert got.keys() == want.keys() == m.params.keys()
+        for name in got:
+            assert got[name].tobytes() == want[name].tobytes(), name
+    else:
+        m.freeze()
+    with ag.no_tape():
+        fields = m._fields()
+        blocks = [unfused_features(m, x[i:i + models.PREDICT_BLOCK], fields).value
+                  for i in range(0, n, models.PREDICT_BLOCK)]
+        want = m._head(ag.constant(np.concatenate(blocks))).value
+    assert m.predict(x).tobytes() == want.tobytes()
 
 
 def test_negative_block_count_is_rejected():
