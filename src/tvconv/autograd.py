@@ -10,8 +10,7 @@ keyed by op name so an unknown op on the tape is a hard error rather than a
 silent zero.
 
 Layer norm is the one op with an epilogue (`layer_norm`'s residual, ReLU
-and stride), so the model's walk builds no `add`, `relu` or `subsample`
-node; those ops keep their rules for the gradient suite and the tests.
+and stride), so the tape has no separate add, ReLU or subsample op.
 
 Batched layouts are [n, c, h, w] throughout.
 """
@@ -24,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .tensor import Tensor
 
 
 class GradError(RuntimeError):
@@ -90,15 +88,6 @@ def _rule(name):
 # ---------------------------------------------------------------- ops
 
 
-def relu(x: Node) -> Node:
-    return Node("relu", np.maximum(x.value, 0), (x,))
-
-
-@_rule("relu")
-def _relu_bwd(n, g):
-    return (g * (n.value > 0),)  # y > 0 exactly where x > 0
-
-
 def dwconv(x: Node, w: Node) -> Node:
     return Node("dwconv", kernels.dwconv(x.value, w.value), (x, w), {"k": w.value.shape[-1]})
 
@@ -159,8 +148,8 @@ def _layer_norm_bwd(n, g):
     if s > 1 or len(n.parents) == 4:
         # The gradient at the residual add is also the residual's, so the rule
         # masks it by the ReLU itself, then scatters the kept positions into
-        # zeros as `subsample`'s rule does; those zeros are +0.0, which the
-        # mask keeps, so masking first gives the same bits.
+        # zeros; those zeros are +0.0, which the mask keeps, so masking first
+        # gives the same bits.
         if y is not None:
             g = g * (y > 0)
         if s > 1:
@@ -193,21 +182,6 @@ def _pool_mean_bwd(n, g):
     return (np.broadcast_to(g[:, :, None, None], n.parents[0].value.shape) / (h * w),)
 
 
-def subsample(x: Node, stride: int) -> Node:
-    # A strided view, not a copy: no op writes into a node's value, and a
-    # copy per call shifts the allocator's heap trimming enough to cost
-    # batch-128 inference measurable page faults.
-    return Node("subsample", x.value[:, :, ::stride, ::stride], (x,), {"s": stride})
-
-
-@_rule("subsample")
-def _subsample_bwd(n, g):
-    s = n.saved["s"]
-    dx = np.zeros_like(n.parents[0].value)
-    dx[:, :, ::s, ::s] = g
-    return (dx,)
-
-
 def reshape(x: Node, shape) -> Node:
     return Node("reshape", x.value.reshape(shape), (x,))
 
@@ -215,26 +189,6 @@ def reshape(x: Node, shape) -> Node:
 @_rule("reshape")
 def _reshape_bwd(n, g):
     return (g.reshape(n.parents[0].value.shape),)
-
-
-def add(a: Node, b: Node) -> Node:
-    if np.shape(a.value) != np.shape(b.value):
-        raise ValueError("add requires matching shapes")
-    return Node("add", a.value + b.value, (a, b))
-
-
-@_rule("add")
-def _add_bwd(n, g):
-    return g, g
-
-
-def scale(x: Node, alpha: float) -> Node:
-    return Node("scale", x.value * alpha, (x,), {"a": alpha})
-
-
-@_rule("scale")
-def _scale_bwd(n, g):
-    return (g * n.saved["a"],)
 
 
 def mul_const(x: Node, arr) -> Node:
@@ -338,18 +292,12 @@ def backward(loss: Node) -> dict[Node, np.ndarray]:
 # ------------------------------------------------- numeric checking
 
 
-def _as_array(x):
-    return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-
-
 def finite_diff_grad(f, x, eps: float = 1e-6):
     """Central differences: (f(x+eps*e_i) - f(x-eps*e_i)) / (2*eps).
 
-    f maps the same container type as x to a scalar; the result matches the
-    container of x.
+    f maps an array shaped like x to a scalar.
     """
-    wrap = isinstance(x, Tensor)
-    base = _as_array(x)
+    base = np.asarray(x, dtype=np.float64)
     grad = np.zeros_like(base)
     it = np.nditer(base, flags=["multi_index"])
     for _ in it:
@@ -358,11 +306,8 @@ def finite_diff_grad(f, x, eps: float = 1e-6):
         hi[idx] += eps
         lo = base.copy()
         lo[idx] -= eps
-        if wrap:
-            grad[idx] = (f(Tensor(hi)) - f(Tensor(lo))) / (2 * eps)
-        else:
-            grad[idx] = (f(hi) - f(lo)) / (2 * eps)
-    return Tensor(grad) if wrap else grad
+        grad[idx] = (f(hi) - f(lo)) / (2 * eps)
+    return grad
 
 
 @dataclass
@@ -376,8 +321,8 @@ class GradReport:
 
 def grad_check(analytic, numeric, tol: float = 1e-5) -> GradReport:
     """Elementwise relative error |a-n| / max(|a|, |n|, 1e-8) against tol."""
-    a = _as_array(analytic)
-    n = _as_array(numeric)
+    a = np.asarray(analytic, dtype=np.float64)
+    n = np.asarray(numeric, dtype=np.float64)
     if a.shape != n.shape:
         raise ValueError(f"gradient shape mismatch: {a.shape} vs {n.shape}")
     abs_err = np.abs(a - n)

@@ -7,13 +7,13 @@ against central finite differences.
 
 Two kinds of draws are rejected and re-drawn, because they poison the
 finite-difference oracle without indicating a wrong derivative: instances
-whose ReLU preactivations, those of a ReLU fused into a layer norm included,
-land within 10*eps of the kink (the perturbation would cross it), and
-instances where random cancellation leaves a nonzero gradient element below
-1e-3 in magnitude (float64 roundoff in the central difference is ~1e-8 at
-eps=1e-6, so such elements cannot be resolved to the 1e-5 relative tolerance
-no matter how correct the rule is). Exact-zero elements are fine, both routes
-agree on those.
+where the preactivations of a ReLU fused into a layer norm land within 10*eps
+of the kink (the perturbation would cross it), and instances where random
+cancellation leaves a nonzero gradient element below 1e-3 in magnitude
+(float64 roundoff in the central difference is ~1e-8 at eps=1e-6, so such
+elements cannot be resolved to the 1e-5 relative tolerance no matter how
+correct the rule is). Exact-zero elements are fine, both routes agree on
+those.
 
 The full operator layer (generator + per-position apply) is checked end to
 end as its own entry.
@@ -36,11 +36,6 @@ class OpCheckResult:
     instances: int
     max_rel_err: float
     passed: bool
-
-
-def _gen_relu(rng):
-    shape = (int(rng.integers(1, 3)), int(rng.integers(1, 4)), 3, 3)
-    return {"x": rng.standard_normal(shape)}, lambda n: ag.relu(n["x"])
 
 
 def _gen_dwconv(rng):
@@ -77,13 +72,19 @@ def _gen_tvconv(rng):
 
 
 def _gen_layer_norm(rng):
+    """The norm with each part of the epilogue the model trains with drawn on
+    or off (the residual, the ReLU, a stride of 2), on maps of 2-5 rows and
+    columns, odd ones included."""
     c = int(rng.integers(1, 4))
-    shape = (int(rng.integers(1, 3)), c, int(rng.integers(2, 4)), int(rng.integers(2, 4)))
-    return (
-        {"x": rng.standard_normal(shape) * 2 + rng.standard_normal(),
-         "gamma": rng.uniform(0.5, 1.5, c), "beta": rng.standard_normal(c)},
-        lambda n: ag.layer_norm(n["x"], n["gamma"], n["beta"]),
-    )
+    shape = (int(rng.integers(1, 3)), c, int(rng.integers(2, 6)), int(rng.integers(2, 6)))
+    relu, residual = bool(rng.integers(2)), bool(rng.integers(2))
+    stride = int(rng.integers(1, 3))
+    params = {"x": rng.standard_normal(shape) * 2 + rng.standard_normal(),
+              "gamma": rng.uniform(0.5, 1.5, c), "beta": rng.standard_normal(c)}
+    if residual:
+        params["res"] = rng.standard_normal(shape)
+    return params, lambda n: ag.layer_norm(n["x"], n["gamma"], n["beta"], relu=relu,
+                                           residual=n.get("res"), stride=stride)
 
 
 def _gen_linear(rng):
@@ -100,31 +101,9 @@ def _gen_pool_mean(rng):
     return {"x": rng.standard_normal(shape)}, lambda n: ag.pool_mean(n["x"])
 
 
-def _gen_subsample(rng):
-    s = int(rng.choice([1, 2, 3]))
-    shape = (int(rng.integers(1, 3)), int(rng.integers(1, 3)), int(rng.integers(s, 7)), int(rng.integers(s, 7)))
-    return {"x": rng.standard_normal(shape)}, lambda n: ag.subsample(n["x"], s)
-
-
 def _gen_reshape(rng):
     a, b, c = int(rng.integers(1, 4)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
     return {"x": rng.standard_normal((a, b, c))}, lambda n: ag.reshape(n["x"], (a * b, c))
-
-
-def _gen_add(rng):
-    shape = (int(rng.integers(1, 4)), int(rng.integers(1, 4)))
-    return (
-        {"x": rng.standard_normal(shape), "y": rng.standard_normal(shape)},
-        lambda n: ag.add(n["x"], n["y"]),
-    )
-
-
-def _gen_scale(rng):
-    alpha = float(rng.uniform(-2, 2))
-    return (
-        {"x": rng.standard_normal((int(rng.integers(1, 4)), 3))},
-        lambda n: ag.scale(n["x"], alpha),
-    )
 
 
 def _gen_mul_const(rng):
@@ -172,17 +151,13 @@ def _gen_tvconv_layer(rng):
 
 
 GENERATORS = {
-    "relu": _gen_relu,
     "dwconv": _gen_dwconv,
     "conv": _gen_conv,
     "tvconv": _gen_tvconv,
     "layer_norm": _gen_layer_norm,
     "linear": _gen_linear,
     "pool_mean": _gen_pool_mean,
-    "subsample": _gen_subsample,
     "reshape": _gen_reshape,
-    "add": _gen_add,
-    "scale": _gen_scale,
     "mul_const": _gen_mul_const,
     "sum": _gen_sum,
     "softmax_xent": _gen_softmax_xent,
@@ -210,10 +185,8 @@ def _well_conditioned(grads, floor=1e-3):
 
 
 def _relu_input(n: ag.Node) -> np.ndarray:
-    """What a ReLU node, or the ReLU fused into a layer norm node, clamps: for
-    the norm, its affine plus any residual, at the positions its stride keeps."""
-    if n.op == "relu":
-        return n.parents[0].value
+    """What the ReLU fused into a layer norm node clamps: its affine plus any
+    residual, at the positions its stride keeps."""
     x, gamma, beta, *residual = (p.value for p in n.parents)
     s = n.saved["stride"]
     xhat = (x - n.saved["mean"]) * n.saved["inv_std"]
@@ -235,7 +208,7 @@ def check_op(op: str, rng: np.random.Generator, tol: float = 1e-5, eps: float = 
             scalar_already = len(drawn) > 2 and drawn[2]
             nodes, loss, weight = _build_loss(rng, params, build, scalar_already)
             pre = [_relu_input(n) for n in ag._topo(loss)
-                   if n.op == "relu" or n.op == "layer_norm" and n.saved["relu"]]
+                   if n.op == "layer_norm" and n.saved["relu"]]
             grads = backward(loss)
             if all(np.abs(p).min() > 10 * eps for p in pre if p.size) and _well_conditioned(grads):
                 break

@@ -78,7 +78,7 @@ def test_gradcheck_passes_and_reports_each_op(capsys):
     lines = [l for l in out.splitlines() if l]
     assert all(l.startswith("pass ") for l in lines)
     names = {l.split()[1].rstrip(":") for l in lines}
-    assert {"relu", "conv", "tvconv", "layer_norm", "tvconv_layer"} <= names
+    assert {"conv", "tvconv", "layer_norm", "tvconv_layer"} <= names
 
 
 def test_gradcheck_unreachable_tolerance_fails(capsys):

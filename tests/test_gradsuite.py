@@ -5,15 +5,46 @@ import numpy as np
 import pytest
 
 from tvconv import autograd as ag
-from tvconv import gradsuite
+from tvconv import gradsuite, models
 from tvconv.autograd import registered_ops
 from tvconv.gradsuite import GENERATORS, run_suite
 from tvconv.operator import GeneratorParams, generator_field
 
 
 def test_every_registered_op_has_a_generator():
-    missing = [op for op in registered_ops() if op not in GENERATORS and op != "leaf"]
-    assert missing == []
+    # Both ways: a generator cannot outlive its op. `tvconv_layer` checks the
+    # whole operator, not one op.
+    ops = set(registered_ops())
+    assert ops - set(GENERATORS) == set()
+    assert set(GENERATORS) - {"tvconv_layer"} - ops == set()
+
+
+def signature(n):
+    """An op, and for a layer norm which parts of its epilogue run."""
+    if n.op != "layer_norm":
+        return (n.op,)
+    return (n.op, n.saved["relu"], len(n.parents) == 4, n.saved["stride"] > 1)
+
+
+@pytest.fixture(scope="module")
+def drawn():
+    """Every signature on the loss tapes of 50 seeded draws per generator."""
+    rng = np.random.default_rng(0)
+    seen = set()
+    for gen in GENERATORS.values():
+        for _ in range(50):
+            d = gen(rng)
+            _, loss, _ = gradsuite._build_loss(rng, d[0], d[1], len(d) > 2 and d[2])
+            seen |= {signature(n) for n in ag._topo(loss)}
+    return seen
+
+
+@pytest.mark.parametrize("op", models.OPERATORS)
+def test_suite_draws_what_the_model_trains_with(op, drawn):
+    m = models.LayoutModel.create(models.default_model_spec(op), seed=0)
+    x = np.random.default_rng(1).standard_normal((2, 1, 32, 32))
+    used = {signature(n) for n in ag._topo(m.loss(x, [0, 1]))}
+    assert used - drawn == set()
 
 
 def test_suite_passes_on_small_sample():

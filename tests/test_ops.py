@@ -8,7 +8,6 @@ independent of the vectorized kernels.
 import numpy as np
 import pytest
 
-from tvconv import autograd as ag
 from tvconv import kernels
 
 
@@ -18,10 +17,6 @@ def depthwise_conv2d(x, w):
 
 def conv2d(x, w):
     return kernels.conv(x[None], w)[0]
-
-
-def relu(x):
-    return ag.relu(ag.constant(x)).value
 
 
 def layer_norm(x, gamma, beta, eps=1e-5):
@@ -148,17 +143,6 @@ class TestConv2d:
                 b = depthwise_conv2d(x, wt)
                 assert np.array_equal(a, b)
                 assert a.dtype == b.dtype
-
-
-class TestRelu:
-    def test_elementwise(self):
-        x = np.array([-2.0, -0.0, 0.0, 1.5])
-        np.testing.assert_array_equal(relu(x), [0.0, 0.0, 0.0, 1.5])
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(15)
-        once = relu(rng.standard_normal((3, 4, 4)))
-        np.testing.assert_array_equal(once, relu(once))
 
 
 class TestLayerNorm:
