@@ -11,7 +11,8 @@ The package splits into layers that can be used independently:
 
 - `tensor` / `kernels` / `autograd`: float64 arrays, the numeric primitives,
   and a reverse-mode tape over them.
-- `operator`: the weight generator, the per-position convolution with its
+- `operator`: the weight generator, whose field is one plain [c, k, k, h, w]
+  array from generation to kernel, the per-position convolution with its
   loop-nest oracle, parameter-count arithmetic, and the freeze/cache
   lifecycle, whose guard compares every parameter's raw bytes with a
   snapshot taken at freeze.
@@ -66,11 +67,9 @@ from .models import (
     save_model,
 )
 from .operator import (
-    AffinityMaps,
     GeneratorParams,
     StaleCacheError,
     TVConvLayer,
-    WeightField,
     export_affinity,
     generate_weights,
     param_count_factorized,
@@ -85,7 +84,6 @@ from .training import TrainConfig, TrainResult, evaluate, train
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffinityMaps",
     "ArchSpec",
     "BlockSpec",
     "CostReport",
@@ -101,7 +99,6 @@ __all__ = [
     "Tensor",
     "TrainConfig",
     "TrainResult",
-    "WeightField",
     "apply_affine",
     "default_model_spec",
     "evaluate",

@@ -110,21 +110,15 @@ def _conv_bwd(n, g):
     return dx, kernels.conv_dw(g, x.value, n.saved["k"])
 
 
-def tvconv(x: Node, wf: Node, k: int) -> Node:
-    """Apply a per-position weight field wf [c*k*k, h, w] to x [n, c, h, w]."""
-    c = x.value.shape[1]
-    h, w = x.value.shape[2:]
-    w5 = wf.value.reshape(c, k, k, h, w)
-    return Node("tvconv", kernels.tvconv(x.value, w5), (x, wf), {"k": k, "w5": w5})
+def tvconv(x: Node, wf: Node) -> Node:
+    """Apply a per-position weight field wf [c, k, k, h, w] to x [n, c, h, w]."""
+    return Node("tvconv", kernels.tvconv(x.value, wf.value), (x, wf))
 
 
 @_rule("tvconv")
 def _tvconv_bwd(n, g):
     x, wf = n.parents
-    k = n.saved["k"]
-    dx = kernels.tvconv_dx(g, n.saved["w5"])
-    dw5 = kernels.tvconv_dw(g, x.value, k)
-    return dx, dw5.reshape(wf.value.shape)
+    return kernels.tvconv_dx(g, wf.value), kernels.tvconv_dw(g, x.value, wf.value.shape[1])
 
 
 def layer_norm(x: Node, gamma: Node, beta: Node, eps: float = 1e-5, relu: bool = False,

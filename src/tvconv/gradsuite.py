@@ -66,8 +66,8 @@ def _gen_tvconv(rng):
     k = int(rng.choice([1, 3]))
     return (
         {"x": rng.standard_normal((int(rng.integers(1, 3)), c, h, w)),
-         "wf": rng.standard_normal((c * k * k, h, w))},
-        lambda n: ag.tvconv(n["x"], n["wf"], k=k),
+         "wf": rng.standard_normal((c, k, k, h, w))},
+        lambda n: ag.tvconv(n["x"], n["wf"]),
     )
 
 
@@ -147,7 +147,7 @@ def _gen_tvconv_layer(rng):
         elif name.endswith(".beta"):
             arr = rng.standard_normal(arr.shape)
         params[name] = arr
-    return params, lambda nodes: ag.tvconv(nodes["x"], generator_field(nodes, gen), k=k)
+    return params, lambda nodes: ag.tvconv(nodes["x"], generator_field(nodes, gen))
 
 
 GENERATORS = {

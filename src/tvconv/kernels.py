@@ -155,13 +155,15 @@ def _tap_sum(xs: np.ndarray, w5: np.ndarray, tap) -> np.ndarray:
 
 def tvconv(x: np.ndarray, w5: np.ndarray) -> np.ndarray:
     """Per-position depthwise conv: x [n,c,h,w], w5 [c,k,k,h,w] -> [n,c,h,w];
-    w5's two position axes may also be 1 (one filter for every position).
-    Any other field shape raises ValueError. Channels run in blocks whose
-    slice of the field fits L2_BYTES."""
+    k is odd, and w5's two position axes may also be 1 (one filter for every
+    position). Any other field shape raises ValueError. Channels run in blocks
+    whose slice of the field fits L2_BYTES."""
     n, c, h, ww = x.shape
-    if w5.ndim != 5 or w5.shape[0] != c or w5.shape[3:] not in ((h, ww), (1, 1)):
+    if (w5.ndim != 5 or w5.shape[0] != c or w5.shape[1] != w5.shape[2]
+            or w5.shape[1] % 2 == 0 or w5.shape[3:] not in ((h, ww), (1, 1))):
         raise ValueError(f"weight field of shape {w5.shape} does not fit input of shape "
-                         f"{x.shape}: want [{c}, k, k, {h}, {ww}] or [{c}, k, k, 1, 1]")
+                         f"{x.shape}: want [{c}, k, k, {h}, {ww}] or [{c}, k, k, 1, 1], "
+                         "k odd")
     return _tap_sum(_shifted_stack(x, w5.shape[1]), w5, lambda f, u, v: (f[:, u, v], u, v))
 
 

@@ -188,7 +188,7 @@ class LayoutModel:
                     params[f"{p}.tv.aff"] = np.ones((spec.affinity_channels, hi, wi))
                 else:
                     params[f"{p}.tv.aff"] = init_affinity_from_stats(
-                        stats_images, spec.affinity_channels, hi, wi).values
+                        stats_images, spec.affinity_channels, hi, wi)
                 for name, arr in gen.arrays():
                     params[f"{p}.tv.{name}"] = arr
                 tv_layers[f"{p}.tv"] = gen
@@ -247,7 +247,7 @@ class LayoutModel:
             if b.op == "depthwise":
                 r = ag.dwconv(h, leaves[f"{p}.dw.w"])
             else:
-                r = ag.tvconv(h, fields[f"{p}.tv"], b.k)
+                r = ag.tvconv(h, fields[f"{p}.tv"])
             r = ln(r, f"{p}.sp.ln")
             r = ag.conv(r, leaves[f"{p}.pw.w"])
             h = ln(r, f"{p}.pw.ln", relu=False, residual=h, stride=stride)

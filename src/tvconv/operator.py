@@ -4,19 +4,21 @@ The operator applies a different k x k filter at every spatial position of a
 fixed-size feature map. The filters are not stored directly: a small generator
 network runs over trainable affinity maps (repeated [conv -> layer norm +
 relu] stages, the relu fused into the norm's op, then a plain output conv)
-and emits all c*k*k taps per position as a weight field. Generation happens
+and emits all c*k*k taps per position as a weight field, one plain array in
+the layout below from the generator to the kernels. Generation happens
 once per weight update during training and exactly once after freezing, so
 steady-state inference cost matches a plain depthwise conv of the same shape.
 
 Shapes:
     affinity maps  [c_A, h, w]
-    weight field   [c*k*k, h, w], row (ch*k + u)*k + v = tap (u, v) of channel ch
+    weight field   [c, k, k, h, w], field[ch, u, v] = tap (u, v) of channel ch,
+                   row (ch*k + u)*k + v of the generator's output conv
     input/output   [c, h, w]
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -48,32 +50,6 @@ def check_unchanged(names, frozen: tuple, now: tuple) -> None:
         name = next(name for name, a, b in zip(names, frozen, now) if a != b)
         raise StaleCacheError(f"parameter '{name}' changed since freeze; "
                               "cached weights are stale")
-
-
-@dataclass
-class AffinityMaps:
-    """Trainable per-position maps the generator reads, shape [c_A, h, w]."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values)
-        if self.values.dtype.kind in "iub":
-            self.values = self.values.astype(np.float64)
-        if self.values.ndim != 3:
-            raise ValueError(f"affinity maps must be [c_A, h, w], got {self.values.shape}")
-
-    @property
-    def channels(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def h(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def w(self) -> int:
-        return self.values.shape[2]
 
 
 @dataclass
@@ -150,41 +126,9 @@ class GeneratorParams:
         return cls(hidden=hidden, w_out=w_out, k_gen=k_gen, channels=channels, k=k)
 
 
-@dataclass
-class WeightField:
-    """Per-position filters, flattened to [c*k*k, h, w]."""
-
-    values: np.ndarray
-    c: int
-    k: int
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values)
-        if self.values.ndim != 3:
-            raise ValueError(f"weight field must be rank 3, got {self.values.shape}")
-        if self.k < 1 or self.k % 2 == 0:
-            raise ValueError(f"filter size must be odd and positive, got {self.k}")
-        want = self.c * self.k * self.k
-        if self.values.shape[0] != want:
-            raise ValueError(
-                f"weight field has {self.values.shape[0]} rows, expected c*k*k = {want}"
-            )
-
-    @property
-    def h(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def w(self) -> int:
-        return self.values.shape[2]
-
-    def as5d(self) -> np.ndarray:
-        """View as [c, k, k, h, w]."""
-        return self.values.reshape(self.c, self.k, self.k, self.h, self.w)
-
-
 def generator_field(nodes: dict[str, ag.Node], gen: GeneratorParams) -> ag.Node:
-    """The generator as tape ops, returning the field node [c*k*k, h, w].
+    """The generator as tape ops, returning the field node [c, k, k, h, w]
+    (a view of the output conv).
 
     `nodes` maps "affinity" and every `gen.arrays()` name to a node; `gen`
     supplies only the structure (depth, eps, c, k).
@@ -195,40 +139,38 @@ def generator_field(nodes: dict[str, ag.Node], gen: GeneratorParams) -> ag.Node:
     for i in range(gen.depth):
         a = ag.conv(a, nodes[f"h{i}.w"])
         a = ag.layer_norm(a, nodes[f"h{i}.gamma"], nodes[f"h{i}.beta"], gen.eps, relu=True)
-    return ag.reshape(ag.conv(a, nodes["out.w"]), (gen.channels * gen.k * gen.k, h, w))
+    return ag.reshape(ag.conv(a, nodes["out.w"]), (gen.channels, gen.k, gen.k, h, w))
 
 
-def generate_weights(affinity: AffinityMaps, gen: GeneratorParams) -> WeightField:
-    """Run the generator over the affinity maps and emit the weight field."""
-    if affinity.channels != gen.affinity_channels:
-        raise ValueError(
-            f"affinity channels {affinity.channels} do not match "
-            f"generator input {gen.affinity_channels}"
-        )
+def generate_weights(affinity: np.ndarray, gen: GeneratorParams) -> np.ndarray:
+    """Run the generator over affinity maps [c_A, h, w]; the field [c, k, k, h, w]."""
+    shape = np.shape(affinity)
+    if len(shape) != 3 or shape[0] != gen.affinity_channels:
+        raise ValueError(f"affinity channels do not match generator input: want "
+                         f"[{gen.affinity_channels}, h, w], got {shape}")
     with ag.no_tape():
         nodes = {name: ag.constant(arr) for name, arr in gen.arrays()}
-        nodes["affinity"] = ag.constant(affinity.values)
-        return WeightField(generator_field(nodes, gen).value, c=gen.channels, k=gen.k)
+        nodes["affinity"] = ag.constant(affinity)
+        return generator_field(nodes, gen).value
 
 
-def tvconv_apply(x: Tensor, wf: WeightField) -> Tensor:
-    """Per-position depthwise conv of [c,h,w] with the weight field."""
+def tvconv_apply(x: Tensor, field: np.ndarray) -> Tensor:
+    """Per-position depthwise conv of [c, h, w] with a field [c, k, k, h, w];
+    `kernels.tvconv` refuses a field that does not fit."""
     if len(x.dims) != 3:
         raise ValueError(f"input must be [c, h, w], got {x.dims}")
-    if x.dims != (wf.c, wf.h, wf.w):
-        raise ValueError(f"input dims {x.dims} do not match weight field ({wf.c}, {wf.h}, {wf.w})")
-    return Tensor(kernels.tvconv(x.data[None], wf.as5d())[0])
+    return Tensor(kernels.tvconv(x.data[None], field)[0])
 
 
-def tvconv_naive_oracle(x: Tensor, wf: WeightField) -> Tensor:
+def tvconv_naive_oracle(x: Tensor, field: np.ndarray) -> Tensor:
     """Reference implementation: five explicit loops over the definition."""
     c, h, w = x.dims
-    if (c, h, w) != (wf.c, wf.h, wf.w):
-        raise ValueError("input dims do not match weight field")
-    k = wf.k
+    if np.ndim(field) != 5 or (field.shape[0], *field.shape[3:]) != (c, h, w):
+        raise ValueError(f"input of shape {x.dims} does not match weight field of "
+                         f"shape {np.shape(field)}: want [{c}, k, k, {h}, {w}]")
+    k = field.shape[1]
     r = k // 2
     xv = x.data
-    w5 = wf.as5d()
     out = np.zeros_like(xv)
     for ch in range(c):
         for i in range(h):
@@ -238,13 +180,13 @@ def tvconv_naive_oracle(x: Tensor, wf: WeightField) -> Tensor:
                     for v in range(k):
                         a, b = i + u - r, j + v - r
                         if 0 <= a < h and 0 <= b < w:
-                            acc += w5[ch, u, v, i, j] * xv[ch, a, b]
+                            acc += field[ch, u, v, i, j] * xv[ch, a, b]
                 out[ch, i, j] = acc
     return Tensor(out)
 
 
-def factorized_weights(basis, coeff, c: int, k: int, h: int, w: int) -> WeightField:
-    """Rank-limited field: basis [c*k*k, c_A] times coeff [c_A, h*w]."""
+def factorized_weights(basis, coeff, c: int, k: int, h: int, w: int) -> np.ndarray:
+    """Rank-limited field [c, k, k, h, w]: basis [c*k*k, c_A] times coeff [c_A, h*w]."""
     basis = np.asarray(basis)
     coeff = np.asarray(coeff)
     if basis.ndim != 2 or coeff.ndim != 2 or basis.shape[1] != coeff.shape[0]:
@@ -253,7 +195,7 @@ def factorized_weights(basis, coeff, c: int, k: int, h: int, w: int) -> WeightFi
         raise ValueError(f"basis has {basis.shape[0]} rows, expected c*k*k = {c * k * k}")
     if coeff.shape[1] != h * w:
         raise ValueError(f"coeff has {coeff.shape[1]} columns, expected h*w = {h * w}")
-    return WeightField((basis @ coeff).reshape(c * k * k, h, w), c=c, k=k)
+    return (basis @ coeff).reshape(c, k, k, h, w)
 
 
 def param_count_naive(c: int, k: int, h: int, w: int) -> int:
@@ -270,14 +212,8 @@ def reduction_ratio(c: int, k: int, h: int, w: int, affinity_channels: int) -> f
     return param_count_naive(c, k, h, w) / param_count_factorized(c, k, h, w, affinity_channels)
 
 
-def init_affinity_constant(
-    affinity_channels: int, h: int, w: int, value: float = 1.0, dtype=np.float64
-) -> AffinityMaps:
-    return AffinityMaps(np.full((affinity_channels, h, w), value, dtype=dtype))
-
-
-def init_affinity_from_stats(images, affinity_channels: int, h: int, w: int) -> AffinityMaps:
-    """Seed maps from dataset statistics.
+def init_affinity_from_stats(images, affinity_channels: int, h: int, w: int) -> np.ndarray:
+    """Seed maps [c_A, h, w] from dataset statistics.
 
     Channel-meaned images are reduced to a per-pixel mean map and a population
     std map, each downsampled to (h, w); affinity channels alternate
@@ -293,16 +229,16 @@ def init_affinity_from_stats(images, affinity_channels: int, h: int, w: int) -> 
     for i in range(affinity_channels):
         m = mean_map if i % 2 == 0 else std_map
         maps.append(kernels.downsample_mean(m[None, None], h, w)[0, 0])
-    return AffinityMaps(np.stack(maps))
+    return np.stack(maps)
 
 
 class TVConvLayer:
     """One translation-variant conv layer bound to a fixed (c, h, w).
 
     Starts in training mode, where weights() regenerates the field from the
-    current parameters. freeze() generates once, caches the field with a
-    snapshot of every parameter's raw bytes, and switches to frozen mode where
-    only infer_cached() is legal. Changing any bit of any parameter after
+    current parameters. freeze() generates once and caches the field with a
+    snapshot of every parameter's raw bytes; from then on the layer is frozen
+    and only infer_cached() is legal. Changing any bit of any parameter after
     freeze makes the cache stale, which cached_field() detects by comparing
     bytes and refuses, naming the array.
     """
@@ -318,8 +254,7 @@ class TVConvLayer:
         self.gen = gen
         self.h = h
         self.w = w
-        self.mode = "training"
-        self._cache: WeightField | None = None
+        self._cache: np.ndarray | None = None
         self._frozen_bytes: tuple | None = None
 
     @classmethod
@@ -341,20 +276,12 @@ class TVConvLayer:
         gen = GeneratorParams.create(
             channels, k, affinity_channels, depth, width, k_gen, seed=seed, rng=rng, dtype=dtype
         )
-        aff = init_affinity_constant(affinity_channels, h, w, value=affinity_value, dtype=dtype)
-        return cls(aff.values, gen, h, w)
-
-    @property
-    def channels(self) -> int:
-        return self.gen.channels
-
-    @property
-    def k(self) -> int:
-        return self.gen.k
+        aff = np.full((affinity_channels, h, w), affinity_value, dtype=dtype)
+        return cls(aff, gen, h, w)
 
     @property
     def frozen(self) -> bool:
-        return self.mode == "frozen"
+        return self._cache is not None
 
     def arrays(self):
         yield "aff", self.affinity
@@ -364,20 +291,19 @@ class TVConvLayer:
         """`raw_bytes` of every parameter, in `arrays()` order."""
         return raw_bytes(self.arrays())
 
-    def weights(self) -> WeightField:
+    def weights(self) -> np.ndarray:
         if self.frozen:
             raise StateError("layer is frozen; use infer_cached")
-        return generate_weights(AffinityMaps(self.affinity), self.gen)
+        return generate_weights(self.affinity, self.gen)
 
     def freeze(self) -> "TVConvLayer":
         if self.frozen:
             raise StateError("layer is already frozen")
-        self._cache = generate_weights(AffinityMaps(self.affinity), self.gen)
+        self._cache = generate_weights(self.affinity, self.gen)
         self._frozen_bytes = self.fingerprint()
-        self.mode = "frozen"
         return self
 
-    def cached_field(self) -> WeightField:
+    def cached_field(self) -> np.ndarray:
         """The frozen weight field, after verifying no parameter changed."""
         if not self.frozen:
             raise StateError("layer is in training mode; call freeze() first")
@@ -402,14 +328,16 @@ def pgm_bytes(gray: np.ndarray) -> bytes:
 def export_affinity(affinity, outdir, basename: str = "affinity") -> list[Path]:
     """Write raw TVTENSOR plus one min-max normalized PGM per channel.
 
-    Constant channels map to mid-gray 128.
+    Constant channels map to mid-gray 128. Maps holding a nan or inf have no
+    gray scale, so they are refused, naming the first such channel, before
+    anything is written.
     """
-    if isinstance(affinity, AffinityMaps):
-        vals = affinity.values
-    else:
-        vals = np.asarray(affinity)
-        if vals.ndim != 3:
-            raise ValueError(f"affinity must be [c_A, h, w], got {vals.shape}")
+    vals = np.asarray(affinity)
+    if vals.ndim != 3:
+        raise ValueError(f"affinity must be [c_A, h, w], got {vals.shape}")
+    bad = ~np.isfinite(vals).all(axis=(1, 2))
+    if bad.any():
+        raise ValueError(f"affinity channel {int(np.argmax(bad))} has a non-finite value")
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     written = []

@@ -47,13 +47,12 @@ def test_01_degenerates_to_depthwise():
             width=int(rng.integers(1, 9)),
             k_gen=1, rng=rng)
         field = layer.weights()
-        w5 = field.as5d()
         # a constant map through 1x1 stages has no spatial variation left
-        flat = field.values.reshape(c * k * k, -1)
+        flat = field.reshape(c * k * k, -1)
         assert float(np.ptp(flat, axis=1).max()) == 0.0
         x = rng.standard_normal((c, h, w))
         got = operator.tvconv_apply(Tensor(x), field).data
-        want = kernels.dwconv(x[None], w5[:, :, :, 0, 0])[0]
+        want = kernels.dwconv(x[None], field[:, :, :, 0, 0])[0]
         worst = max(worst, float(np.abs(got - want).max()))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-12 and elapsed < 10.0
@@ -74,8 +73,7 @@ def test_02_matches_loop_nest_oracle():
         h = int(rng.integers(2, 8))
         w = int(rng.integers(2, 8))
         k = int(rng.choice([1, 3, 5]))
-        wf = operator.WeightField(
-            rng.standard_normal((c * k * k, h, w)), c=c, k=k)
+        wf = rng.standard_normal((c, k, k, h, w))
         x = Tensor(rng.standard_normal((c, h, w)))
         fast = operator.tvconv_apply(x, wf).data
         slow = operator.tvconv_naive_oracle(x, wf).data

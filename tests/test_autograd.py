@@ -179,10 +179,10 @@ class TestOpGradients:
 
     def test_tvconv(self):
         x = self.rng.standard_normal((2, 2, 3, 4))
-        wf = self.rng.standard_normal((2 * 9, 3, 4))
+        wf = self.rng.standard_normal((2, 3, 3, 3, 4))
         r = self.rng.uniform(0.5, 1.5, (2, 2, 3, 4))
         check_op(
-            lambda n: ag.ssum(ag.mul_const(ag.tvconv(n["x"], n["wf"], k=3), r)),
+            lambda n: ag.ssum(ag.mul_const(ag.tvconv(n["x"], n["wf"]), r)),
             {"x": x, "wf": wf},
         )
 

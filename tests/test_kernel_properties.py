@@ -429,6 +429,8 @@ def test_benchmark_shapes_match_row_windows_bitwise(n, c, h, w, relu):
     ((3, 3, 3, 4, 1), (2, 3, 4, 5)),  # a column of filters for a 4x5 map
     ((3, 3, 3, 5, 4), (2, 3, 4, 5)),  # the map's axes swapped
     ((3, 3, 3), (2, 3, 4, 5)),        # a depthwise kernel passed as a field
+    ((3, 2, 2, 4, 5), (2, 3, 4, 5)),  # even taps have no centre
+    ((3, 3, 1, 4, 5), (2, 3, 4, 5)),  # the two tap axes differ
 ])
 def test_tvconv_refuses_a_field_that_does_not_fit(field, x_shape):
     x, w5 = np.ones(x_shape), np.ones(field)

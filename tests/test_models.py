@@ -150,7 +150,7 @@ def unfused_features(m, x, fields):
             h = ln(ag.conv(h, leaves[f"{p}.w"]), f"{p}.ln")
             continue
         r = (ag.dwconv(h, leaves[f"{p}.dw.w"]) if b.op == "depthwise"
-             else ag.tvconv(h, fields[f"{p}.tv"], b.k))
+             else ag.tvconv(h, fields[f"{p}.tv"]))
         r = ag.conv(ln(r, f"{p}.sp.ln"), leaves[f"{p}.pw.w"])
         h = add(h, ln(r, f"{p}.pw.ln", relu=False))
     return ag.pool_mean(h)
@@ -208,7 +208,7 @@ def test_tape_generator_matches_operator_module():
     for name, gen in m.tv_layers.items():
         aff = m.params[f"{name}.aff"]
         layer = operator.TVConvLayer(aff, gen, *aff.shape[1:])
-        assert np.array_equal(fields[name], layer.weights().values)
+        assert np.array_equal(fields[name], layer.weights())
 
 
 def test_affinity_stats_init():
@@ -218,7 +218,7 @@ def test_affinity_stats_init():
                            stats_images=imgs)
     expect = operator.init_affinity_from_stats(imgs, m.spec.affinity_channels,
                                                16, 16)
-    assert np.array_equal(m.params["s0.b0.tv.aff"], expect.values)
+    assert np.array_equal(m.params["s0.b0.tv.aff"], expect)
     with pytest.raises(ValueError, match="stats"):
         LayoutModel.create(tv_spec(affinity_init="stats"), seed=0)
 

@@ -9,16 +9,13 @@ import numpy as np
 import pytest
 
 from tvconv.operator import (
-    AffinityMaps,
     GeneratorParams,
     StaleCacheError,
     StateError,
     TVConvLayer,
-    WeightField,
     export_affinity,
     factorized_weights,
     generate_weights,
-    init_affinity_constant,
     init_affinity_from_stats,
     param_count_factorized,
     param_count_naive,
@@ -31,21 +28,7 @@ from tvconv.tensor import Tensor, load_tensor
 
 
 def rand_field(rng, c, k, h, w):
-    return WeightField(rng.standard_normal((c * k * k, h, w)), c=c, k=k)
-
-
-class TestWeightField:
-    def test_row_count_enforced(self):
-        with pytest.raises(ValueError):
-            WeightField(np.zeros((7, 2, 2)), c=2, k=2)
-
-    def test_five_d_view(self):
-        rng = np.random.default_rng(0)
-        wf = rand_field(rng, 2, 3, 4, 5)
-        v = wf.as5d()
-        assert v.shape == (2, 3, 3, 4, 5)
-        # Row (ch*k + u)*k + v holds tap (u, v) of channel ch.
-        np.testing.assert_array_equal(v[1, 2, 0], wf.values[(1 * 3 + 2) * 3 + 0])
+    return rng.standard_normal((c, k, k, h, w))
 
 
 class TestApply:
@@ -53,16 +36,15 @@ class TestApply:
         # Only the center tap set to 1: output equals input everywhere.
         rng = np.random.default_rng(1)
         x = rng.standard_normal((2, 4, 4))
-        vals = np.zeros((2 * 9, 4, 4))
-        for ch in range(2):
-            vals[(ch * 3 + 1) * 3 + 1] = 1.0
-        out = tvconv_apply(Tensor(x), WeightField(vals, c=2, k=3))
+        field = np.zeros((2, 3, 3, 4, 4))
+        field[:, 1, 1] = 1.0
+        out = tvconv_apply(Tensor(x), field)
         np.testing.assert_array_equal(out.data, x)
 
     def test_k1_field_is_pixelwise_gain(self):
         x = np.ones((1, 2, 2))
-        wf = WeightField(np.array([[[2.0, 3.0], [4.0, 5.0]]]), c=1, k=1)
-        out = tvconv_apply(Tensor(x), wf)
+        field = np.array([[[2.0, 3.0], [4.0, 5.0]]]).reshape(1, 1, 1, 2, 2)
+        out = tvconv_apply(Tensor(x), field)
         np.testing.assert_array_equal(out.data, [[[2.0, 3.0], [4.0, 5.0]]])
 
     def test_matches_naive_oracle(self):
@@ -83,8 +65,11 @@ class TestApply:
         wf = rand_field(rng, 2, 3, 4, 4)
         with pytest.raises(ValueError):
             tvconv_apply(Tensor(np.ones((2, 5, 4))), wf)
-        with pytest.raises(ValueError):
+        # a field made for 2 channels, applied to 3
+        with pytest.raises(ValueError, match=r"\(2, 3, 3, 4, 4\).*\(1, 3, 4, 4\)"):
             tvconv_apply(Tensor(np.ones((3, 4, 4))), wf)
+        with pytest.raises(ValueError, match=r"\(2, 5, 4\).*\(2, 3, 3, 4, 4\)"):
+            tvconv_naive_oracle(Tensor(np.ones((2, 5, 4))), wf)
 
 
 class TestGenerate:
@@ -97,21 +82,26 @@ class TestGenerate:
             for hl in gen.hidden:
                 hl.gamma[:] = rng.uniform(0.5, 1.5, hl.gamma.shape)
                 hl.beta[:] = rng.standard_normal(hl.beta.shape)
-            aff = AffinityMaps(rng.standard_normal((3, 6, 7)))
+            aff = rng.standard_normal((3, 6, 7))
             wf = generate_weights(aff, gen)
 
-            a = aff.values[None]
+            a = aff[None]
             for hl in gen.hidden:
                 a = kernels.layer_norm_fwd(kernels.conv(a, hl.w), hl.gamma, hl.beta, 1e-5)[0]
                 a = np.maximum(a, 0.0)
             ref = kernels.conv(a, gen.w_out)[0]
-            assert wf.values.shape == (2 * 9, 6, 7)
-            np.testing.assert_allclose(wf.values, ref, rtol=0, atol=1e-12)
+            assert wf.shape == (2, 3, 3, 6, 7)
+            # Tap (u, v) of channel ch is row (ch*k + u)*k + v of the output conv.
+            for ch, u, v in np.ndindex(2, 3, 3):
+                np.testing.assert_allclose(wf[ch, u, v], ref[(ch * 3 + u) * 3 + v],
+                                           rtol=0, atol=1e-12)
 
     def test_channel_mismatch_rejected(self):
         gen = GeneratorParams.create(channels=2, k=3, affinity_channels=4, seed=0)
         with pytest.raises(ValueError, match="affinity channels"):
-            generate_weights(AffinityMaps(np.ones((3, 4, 4))), gen)
+            generate_weights(np.ones((3, 4, 4)), gen)
+        with pytest.raises(ValueError, match="affinity channels"):
+            generate_weights(np.ones((4, 4)), gen)
 
     def test_default_hyperparams(self):
         gen = GeneratorParams.create(channels=2, k=3, seed=0)
@@ -148,15 +138,13 @@ class TestDegeneracy:
             for hl in gen.hidden:
                 hl.gamma[:] = rng.uniform(0.5, 1.5, hl.gamma.shape)
                 hl.beta[:] = rng.standard_normal(hl.beta.shape)
-            aff = init_affinity_constant(
-                gen.affinity_channels, 5, 6, value=float(rng.uniform(-2, 2))
-            )
+            aff = np.full((gen.affinity_channels, 5, 6), float(rng.uniform(-2, 2)))
             wf = generate_weights(aff, gen)
             # Every spatial position carries the same filter.
-            assert np.ptp(wf.values.reshape(c * k * k, -1), axis=1).max() < 1e-12
+            assert np.ptp(wf.reshape(c * k * k, -1), axis=1).max() < 1e-12
 
             x = Tensor(rng.standard_normal((c, 5, 6)))
-            static = np.ascontiguousarray(wf.as5d()[:, :, :, 0, 0])
+            static = np.ascontiguousarray(wf[:, :, :, 0, 0])
             got = tvconv_apply(x, wf)
             ref = kernels.dwconv(x.data[None], static)[0]
             np.testing.assert_allclose(got.data, ref, rtol=0, atol=1e-12)
@@ -173,12 +161,11 @@ class TestDegeneracy:
             )
             for hl in gen.hidden:
                 hl.beta[:] = rng.standard_normal(hl.beta.shape)
-            aff = init_affinity_constant(2, h, w, value=1.0)
-            wf = generate_weights(aff, gen)
-            interior = wf.values[:, margin : h - margin, margin : w - margin]
-            assert np.ptp(interior.reshape(wf.values.shape[0], -1), axis=1).max() < 1e-12
+            wf = generate_weights(np.ones((2, h, w)), gen)
+            interior = wf[..., margin : h - margin, margin : w - margin]
+            assert np.ptp(interior.reshape(2 * 9, -1), axis=1).max() < 1e-12
             # And the border genuinely differs, otherwise the margin test is vacuous.
-            assert np.ptp(wf.values.reshape(wf.values.shape[0], -1), axis=1).max() > 1e-6
+            assert np.ptp(wf.reshape(2 * 9, -1), axis=1).max() > 1e-6
 
 
 class TestFactorized:
@@ -187,9 +174,8 @@ class TestFactorized:
         basis = rng.standard_normal((4, 2))  # c*k*k = 4 rows (c=1, k=2 invalid; use c=4,k=1)
         coeff = rng.standard_normal((2, 6))
         wf = factorized_weights(basis, coeff, c=4, k=1, h=2, w=3)
-        expect = (basis @ coeff).reshape(4, 2, 3)
-        np.testing.assert_allclose(wf.values, expect, atol=1e-15)
-        assert wf.c == 4 and wf.k == 1
+        expect = (basis @ coeff).reshape(4, 1, 1, 2, 3)
+        np.testing.assert_allclose(wf, expect, atol=1e-15)
 
     def test_inner_dim_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -201,12 +187,12 @@ class TestFactorized:
         gen = GeneratorParams.create(
             channels=3, k=3, affinity_channels=2, depth=0, width=4, k_gen=1, seed=10
         )
-        aff = AffinityMaps(rng.standard_normal((2, 4, 5)))
+        aff = rng.standard_normal((2, 4, 5))
         wf = generate_weights(aff, gen)
         basis = gen.w_out[:, :, 0, 0]
-        coeff = aff.values.reshape(2, -1)
+        coeff = aff.reshape(2, -1)
         ref = factorized_weights(basis, coeff, c=3, k=3, h=4, w=5)
-        np.testing.assert_allclose(wf.values, ref.values, atol=1e-12)
+        np.testing.assert_allclose(wf, ref, atol=1e-12)
 
 
 class TestParamCounts:
@@ -270,10 +256,10 @@ class TestLayerCache:
 
     def test_cached_field_accessor(self):
         layer = self.make_layer()
-        expected = layer.weights().values
+        expected = layer.weights()
         layer.freeze()
         field = layer.cached_field()
-        assert np.array_equal(field.values, expected)
+        assert np.array_equal(field, expected)
         layer.affinity[0, 0, 0] += 1.0
         with pytest.raises(StaleCacheError):
             layer.cached_field()
@@ -307,7 +293,7 @@ class TestLayerCache:
         layer.gen.w_out[-1, 0, 0, 0] = np.nan
         layer.freeze()
         field = layer.cached_field()
-        assert np.isnan(field.values).any()
+        assert np.isnan(field).any()
         assert layer.cached_field() is field
 
     def test_error_names_the_changed_array(self):
@@ -333,40 +319,48 @@ class TestLayerCache:
 
 
 class TestAffinityInit:
-    def test_constant(self):
-        aff = init_affinity_constant(3, 4, 5)
-        assert aff.values.shape == (3, 4, 5)
-        np.testing.assert_array_equal(aff.values, 1.0)
+    def test_layer_create_fills_constant(self):
+        layer = TVConvLayer.create(channels=2, h=4, w=5, affinity_channels=3, depth=0,
+                                   affinity_value=0.5, seed=0)
+        assert layer.affinity.shape == (3, 4, 5)
+        np.testing.assert_array_equal(layer.affinity, 0.5)
 
     def test_from_stats_two_image_case(self):
         imgs = np.stack([np.zeros((1, 4, 4)), np.full((1, 4, 4), 2.0)])
         aff = init_affinity_from_stats(imgs, affinity_channels=2, h=4, w=4)
-        np.testing.assert_allclose(aff.values[0], 1.0, atol=1e-12)  # mean
-        np.testing.assert_allclose(aff.values[1], 1.0, atol=1e-12)  # population std
+        np.testing.assert_allclose(aff[0], 1.0, atol=1e-12)  # mean
+        np.testing.assert_allclose(aff[1], 1.0, atol=1e-12)  # population std
 
     def test_from_stats_downsamples(self):
         rng = np.random.default_rng(13)
         imgs = rng.standard_normal((6, 1, 8, 8))
         aff = init_affinity_from_stats(imgs, affinity_channels=1, h=4, w=4)
-        assert aff.values.shape == (1, 4, 4)
+        assert aff.shape == (1, 4, 4)
         mean_full = imgs.mean(axis=0)[0]
         expect = mean_full.reshape(4, 2, 4, 2).mean(axis=(1, 3))
-        np.testing.assert_allclose(aff.values[0], expect, atol=1e-12)
+        np.testing.assert_allclose(aff[0], expect, atol=1e-12)
 
 
 class TestExport:
     def test_pgm_bytes_frozen(self, tmp_path):
-        aff = AffinityMaps(np.array([[[0.0, 1.0], [2.0, 3.0]]]))
+        aff = np.array([[[0.0, 1.0], [2.0, 3.0]]])
         paths = export_affinity(aff, tmp_path, basename="aff")
         pgm = (tmp_path / "aff_ch0.pgm").read_bytes()
         assert pgm == b"P5\n2 2\n255\n" + bytes([0, 85, 170, 255])
         raw = load_tensor(tmp_path / "aff.tvt")
-        np.testing.assert_array_equal(raw.data, aff.values)
+        np.testing.assert_array_equal(raw.data, aff)
         assert set(paths) == {tmp_path / "aff_ch0.pgm", tmp_path / "aff.tvt"}
 
     def test_constant_channel_is_midgray(self, tmp_path):
-        aff = AffinityMaps(np.full((2, 3, 3), 4.5))
-        export_affinity(aff, tmp_path)
+        export_affinity(np.full((2, 3, 3), 4.5), tmp_path)
         for ch in range(2):
             pgm = (tmp_path / f"affinity_ch{ch}.pgm").read_bytes()
             assert pgm.endswith(bytes([128] * 9))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_map_refused(self, tmp_path, bad):
+        aff = np.zeros((3, 2, 2))
+        aff[1, 0, 1] = bad
+        with pytest.raises(ValueError, match="affinity channel 1 has a non-finite value"):
+            export_affinity(aff, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
