@@ -31,6 +31,29 @@ def rand_field(rng, c, k, h, w):
     return rng.standard_normal((c, k, k, h, w))
 
 
+class TestWeightField:
+    def test_row_count_enforced(self):
+        # A field must carry c*k*k planes laid out [c, k, k, h, w]; kernels.tvconv
+        # refuses a wrong channel count, unequal tap axes, an even k, or a flat
+        # row array, naming both shapes.
+        x = np.ones((1, 2, 2, 2))
+        for bad in ((3, 3, 3, 2, 2), (2, 3, 1, 2, 2), (2, 2, 2, 2, 2), (18, 2, 2)):
+            with pytest.raises(ValueError, match=r"\(1, 2, 2, 2\)"):
+                kernels.tvconv(x, np.zeros(bad))
+
+    def test_five_d_view(self):
+        # The generator's output rows reshape, as a view, into the field:
+        # row (ch*k + u)*k + v holds tap (u, v) of channel ch.
+        gen = GeneratorParams.create(channels=2, k=3, affinity_channels=3, depth=0, seed=5)
+        aff = np.random.default_rng(0).standard_normal((3, 4, 5))
+        field = generate_weights(aff, gen)
+        assert field.shape == (2, 3, 3, 4, 5)
+        rows = kernels.conv(aff[None], gen.w_out)[0]
+        np.testing.assert_allclose(field[1, 2, 0], rows[(1 * 3 + 2) * 3 + 0],
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(field.reshape(18, 4, 5), rows, rtol=0, atol=1e-12)
+
+
 class TestApply:
     def test_identity_field(self):
         # Only the center tap set to 1: output equals input everywhere.
