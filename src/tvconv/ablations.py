@@ -1,12 +1,15 @@
 """Ablation runners over the desk-scale training harness.
 
-Each runner trains small models on a layout dataset and aggregates final
-test error (or accuracy, for the sensitivity curves) as mean +- std over
-a seed list. One seed value drives init, shuffle order, noise draw, and
-augmentation together, so the reported spread covers both initialization
-and data-order variation. Results come back as an AblationResult whose
-rows render to an aligned text table and to key=value lines; both forms
-are byte-deterministic for a fixed (dataset, config, seeds) triple.
+Every runner is one seeded sweep: it lists its variants, each a (label,
+model spec, training config) triple, and `_sweep` trains one fresh model
+per variant and seed, in variant order and then seed order. One seed value
+drives init, shuffle order, noise draw, and augmentation together, so the
+reported spread covers both initialization and data-order variation. A
+repeated seed or sweep point is refused before any training. Final test
+error (or accuracy, for the sensitivity curves) is aggregated as mean +-
+std over the seeds into an AblationResult, whose rows render to an aligned
+text table and to key=value lines; both forms are byte-deterministic for a
+fixed (dataset, config, seeds) triple.
 
 The sensitivity runner sweeps translation magnitudes. Translation is the
 perturbation a per-position operator is most exposed to by construction
@@ -43,51 +46,52 @@ class AblationResult:
 
     def kv(self) -> dict[str, str]:
         """Flatten aggregated rows to `label.column` -> formatted value."""
-        out: dict[str, str] = {}
-        for row in self.rows:
-            label = str(row[0])
-            for name, v in zip(self.headers[1:], row[1:]):
-                out[f"{label}.{name}"] = (
-                    f"{v:.6f}" if isinstance(v, float) else str(v))
-        return out
+        return {f"{row[0]}.{name}": f"{v:.6f}" if isinstance(v, float) else str(v)
+                for row in self.rows for name, v in zip(self.headers[1:], row[1:])}
 
 
-def _seed_errors(dataset, cfg: training.TrainConfig, seeds,
-                 build) -> np.ndarray:
-    """Final test error per seed; `build(seed)` constructs a fresh model."""
+def _sweep(dataset, seeds, variants) -> tuple[tuple, ...]:
+    """One (label, seed, final test error) run per seed of each (label,
+    spec, cfg) variant, in variant order and then seed order. A repeated
+    label would share one key=value entry, so it is refused, as is a seed."""
     if len(seeds) == 0:
         raise ValueError("an ablation needs at least one seed")
-    errs = []
-    for s in seeds:
-        res = training.train(build(s), dataset, replace(cfg, seed=s))
-        errs.append(1.0 - res.history[-1][2])
-    return np.asarray(errs)
+    for what, values in (("seed", tuple(seeds)),
+                         ("sweep point", tuple(v[0] for v in variants))):
+        for i, v in enumerate(values):
+            if v in values[:i]:
+                raise ValueError(f"{what} '{v}' is repeated")
+    return tuple(
+        (label, s, 1.0 - training.train(
+            models.LayoutModel.create(spec, seed=s, stats_images=dataset.train_x),
+            dataset, replace(vcfg, seed=s)).history[-1][2])
+        for label, spec, vcfg in variants for s in seeds)
 
 
-def _mean_std(values: np.ndarray) -> tuple[float, float]:
-    return float(values.mean()), float(values.std())
+def _mean_std(runs) -> dict[str, tuple[float, float]]:
+    """Mean and std of the runs' metric per label, in label order."""
+    per_label: dict[str, list[float]] = {}
+    for label, _, metric in runs:
+        per_label.setdefault(label, []).append(metric)
+    return {label: (float(np.mean(v)), float(np.std(v)))
+            for label, v in per_label.items()}
+
+
+def _error_result(header: str, dataset, seeds, variants) -> AblationResult:
+    runs = _sweep(dataset, seeds, variants)
+    return AblationResult((header, "err_mean", "err_std"),
+                          tuple((label, *ms) for label, ms in _mean_std(runs).items()),
+                          runs)
 
 
 def run_ablation_init(dataset, cfg: training.TrainConfig,
                       seeds=DEFAULT_SEEDS,
                       spec: models.ModelSpec | None = None) -> AblationResult:
     """Constant-1 vs data-statistics affinity init, all else identical."""
-    if spec is None:
-        spec = models.default_model_spec("tvconv")
-    variants = (
-        ("constant", replace(spec, affinity_init="constant"), None),
-        ("stats", replace(spec, affinity_init="stats"), dataset.train_x),
-    )
-    rows, runs = [], []
-    for label, vspec, stats in variants:
-        errs = _seed_errors(
-            dataset, cfg, seeds,
-            lambda s, vspec=vspec, stats=stats: models.LayoutModel.create(
-                vspec, seed=s, stats_images=stats))
-        runs += [(label, s, float(e)) for s, e in zip(seeds, errs)]
-        rows.append((label, *_mean_std(errs)))
-    return AblationResult(("init", "err_mean", "err_std"),
-                          tuple(rows), tuple(runs))
+    spec = spec or models.default_model_spec("tvconv")
+    return _error_result("init", dataset, seeds, [
+        (init, replace(spec, affinity_init=init), cfg)
+        for init in ("constant", "stats")])
 
 
 def run_ablation_generator(dataset, cfg: training.TrainConfig,
@@ -95,20 +99,11 @@ def run_ablation_generator(dataset, cfg: training.TrainConfig,
                            seeds=DEFAULT_SEEDS,
                            spec: models.ModelSpec | None = None) -> AblationResult:
     """Sweep generator shape: (hidden stages, width, affinity channels)."""
-    if spec is None:
-        spec = models.default_model_spec("tvconv")
-    rows, runs = [], []
-    for depth, width, c_a in grid:
-        label = f"L{depth}.cB{width}.cA{c_a}"
-        vspec = replace(spec, gen_depth=depth, gen_width=width,
-                        affinity_channels=c_a)
-        errs = _seed_errors(
-            dataset, cfg, seeds,
-            lambda s, vspec=vspec: models.LayoutModel.create(vspec, seed=s))
-        runs += [(label, s, float(e)) for s, e in zip(seeds, errs)]
-        rows.append((label, *_mean_std(errs)))
-    return AblationResult(("point", "err_mean", "err_std"),
-                          tuple(rows), tuple(runs))
+    spec = spec or models.default_model_spec("tvconv")
+    return _error_result("point", dataset, seeds, [
+        (f"L{depth}.cB{width}.cA{c_a}",
+         replace(spec, gen_depth=depth, gen_width=width, affinity_channels=c_a), cfg)
+        for depth, width, c_a in grid])
 
 
 def stage_subsets(n_stages: int) -> tuple[tuple[str, tuple[int, ...]], ...]:
@@ -129,27 +124,19 @@ def run_ablation_stage(dataset, cfg: training.TrainConfig,
     The empty subset is the plain depthwise baseline; the full subset is
     the all-stages default placement.
     """
-    if spec is None:
-        spec = models.default_model_spec("depthwise")
-    rows, runs = [], []
-    for label, chosen in stage_subsets(len(spec.stages)):
-        stages = tuple(
+    spec = spec or models.default_model_spec("depthwise")
+    return _error_result("stages", dataset, seeds, [
+        (label, replace(spec, stages=tuple(
             replace(st, operator="tvconv" if i in chosen else "depthwise")
-            for i, st in enumerate(spec.stages))
-        vspec = replace(spec, stages=stages)
-        errs = _seed_errors(
-            dataset, cfg, seeds,
-            lambda s, vspec=vspec: models.LayoutModel.create(vspec, seed=s))
-        runs += [(label, s, float(e)) for s, e in zip(seeds, errs)]
-        rows.append((label, *_mean_std(errs)))
-    return AblationResult(("stages", "err_mean", "err_std"),
-                          tuple(rows), tuple(runs))
+            for i, st in enumerate(spec.stages))), cfg)
+        for label, chosen in stage_subsets(len(spec.stages))])
 
 
 def translation_pixels(magnitude: float, h: int, w: int) -> int:
     """Magnitude as a fraction of the larger image side, in whole pixels."""
-    if magnitude < 0:
-        raise ValueError(f"translation magnitude must be >= 0, got {magnitude}")
+    if not (np.isfinite(magnitude) and magnitude >= 0):
+        raise ValueError(
+            f"translation magnitude must be finite and >= 0, got {magnitude}")
     return int(round(magnitude * max(h, w)))
 
 
@@ -158,26 +145,19 @@ def run_ablation_affine(dataset, cfg: training.TrainConfig,
                         seeds=DEFAULT_SEEDS,
                         spec: models.ModelSpec | None = None) -> AblationResult:
     """Accuracy of both operators vs translation-augmentation magnitude."""
-    base = spec if spec is not None else models.default_model_spec("depthwise")
-    h, w = base.h, base.w
-    rows, runs = [], []
-    for mag in magnitudes:
-        px = translation_pixels(mag, h, w)
-        acfg = replace(cfg, augment_translate=px)
-        stats = {}
-        for op in ("tvconv", "depthwise"):
-            vspec = models.to_operator(base, op)
-            errs = _seed_errors(
-                dataset, acfg, seeds,
-                lambda s, vspec=vspec: models.LayoutModel.create(vspec, seed=s))
-            accs = 1.0 - errs
-            runs += [(f"{mag}.{op}", s, float(a))
-                     for s, a in zip(seeds, accs)]
-            stats[op] = _mean_std(accs)
-        gap = stats["tvconv"][0] - stats["depthwise"][0]
-        rows.append((f"{mag}", px,
-                     *stats["tvconv"], *stats["depthwise"], gap))
+    spec = spec or models.default_model_spec("depthwise")
+    points = [(f"{mag}", translation_pixels(mag, spec.h, spec.w))
+              for mag in magnitudes]
+    runs = tuple((label, s, 1.0 - err) for label, s, err in _sweep(
+        dataset, seeds, [(f"{mag}.{op}", models.to_operator(spec, op),
+                          replace(cfg, augment_translate=px))
+                         for mag, px in points for op in ("tvconv", "depthwise")]))
+    acc = _mean_std(runs)
+    rows = []
+    for mag, px in points:
+        tv, dw = acc[f"{mag}.tvconv"], acc[f"{mag}.depthwise"]
+        rows.append((mag, px, *tv, *dw, tv[0] - dw[0]))
     return AblationResult(
         ("magnitude", "px", "tvconv_acc_mean", "tvconv_acc_std",
          "depthwise_acc_mean", "depthwise_acc_std", "gap_mean"),
-        tuple(rows), tuple(runs))
+        tuple(rows), runs)

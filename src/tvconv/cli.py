@@ -194,9 +194,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     ds = _load_or_gen_dataset(cfg)
     mspec = _model_spec(cfg, ds)
     tcfg = _train_config(cfg)
-    stats = ds.train_x if mspec.affinity_init == "stats" else None
     model = models.LayoutModel.create(mspec, seed=tcfg.seed,
-                                      stats_images=stats)
+                                      stats_images=ds.train_x)
     result = training.train(model, ds, tcfg)
     if args.verbose:
         for epoch, loss, acc in result.history:
@@ -289,31 +288,23 @@ def cmd_export_affinity(args: argparse.Namespace) -> int:
     return 0
 
 
-_ABLATIONS = ("init", "generator", "stage", "affine")
+# ablation name -> (runner, the key that lists its sweep points or None)
+_ABLATIONS = {"init": (ablations.run_ablation_init, None),
+              "generator": (ablations.run_ablation_generator, "grid"),
+              "stage": (ablations.run_ablation_stage, None),
+              "affine": (ablations.run_ablation_affine, "magnitudes")}
 
 
 def cmd_ablate(args: argparse.Namespace) -> int:
     cfg = load_config(args)
-    name = cfg.get("name", "")
-    if name not in _ABLATIONS:
-        raise CliError(f"unknown ablation '{name}' "
-                       f"(known: {', '.join(_ABLATIONS)})")
+    name = cfg["name"]   # the positional argument, one of _ABLATIONS
     ds = _load_or_gen_dataset(cfg)
     mspec = _model_spec(cfg, ds)
     tcfg = _train_config(cfg)
     seeds = _get(cfg, "seeds", ablations.DEFAULT_SEEDS)
-    if name == "init":
-        res = ablations.run_ablation_init(ds, tcfg, seeds=seeds, spec=mspec)
-    elif name == "generator":
-        grid = _get(cfg, "grid", ablations.DEFAULT_GENERATOR_GRID)
-        res = ablations.run_ablation_generator(ds, tcfg, grid=grid,
-                                               seeds=seeds, spec=mspec)
-    elif name == "stage":
-        res = ablations.run_ablation_stage(ds, tcfg, seeds=seeds, spec=mspec)
-    else:
-        mags = _get(cfg, "magnitudes", ablations.DEFAULT_MAGNITUDES)
-        res = ablations.run_ablation_affine(ds, tcfg, magnitudes=mags,
-                                            seeds=seeds, spec=mspec)
+    runner, key = _ABLATIONS[name]
+    points = {key: _get(cfg, key, None)} if key in cfg else {}
+    res = runner(ds, tcfg, seeds=seeds, spec=mspec, **points)
     text = res.table() + "\n\n" + report.format_kv(res.kv())
     out = _emit(args, f"ablation_{name}.txt", text)
     print(res.table())

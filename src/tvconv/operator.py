@@ -103,7 +103,6 @@ class GeneratorParams:
         k_gen: int = 3,
         seed: int | None = None,
         rng: np.random.Generator | None = None,
-        dtype=np.float64,
     ) -> "GeneratorParams":
         if k % 2 == 0 or k_gen % 2 == 0:
             raise ValueError(f"kernel sizes must be odd, got k={k}, k_gen={k_gen}")
@@ -115,14 +114,14 @@ class GeneratorParams:
             sd = np.sqrt(2.0 / (prev * k_gen * k_gen))
             hidden.append(
                 HiddenLayer(
-                    w=(rng.standard_normal((width, prev, k_gen, k_gen)) * sd).astype(dtype),
-                    gamma=np.ones(width, dtype=dtype),
-                    beta=np.zeros(width, dtype=dtype),
+                    w=rng.standard_normal((width, prev, k_gen, k_gen)) * sd,
+                    gamma=np.ones(width),
+                    beta=np.zeros(width),
                 )
             )
             prev = width
         sd = np.sqrt(2.0 / (prev * k_gen * k_gen))
-        w_out = (rng.standard_normal((channels * k * k, prev, k_gen, k_gen)) * sd).astype(dtype)
+        w_out = rng.standard_normal((channels * k * k, prev, k_gen, k_gen)) * sd
         return cls(hidden=hidden, w_out=w_out, k_gen=k_gen, channels=channels, k=k)
 
 
@@ -271,12 +270,11 @@ class TVConvLayer:
         affinity_value: float = 1.0,
         seed: int | None = None,
         rng: np.random.Generator | None = None,
-        dtype=np.float64,
     ) -> "TVConvLayer":
         gen = GeneratorParams.create(
-            channels, k, affinity_channels, depth, width, k_gen, seed=seed, rng=rng, dtype=dtype
+            channels, k, affinity_channels, depth, width, k_gen, seed=seed, rng=rng
         )
-        aff = np.full((affinity_channels, h, w), affinity_value, dtype=dtype)
+        aff = np.full((affinity_channels, h, w), affinity_value, dtype=np.float64)
         return cls(aff, gen, h, w)
 
     @property

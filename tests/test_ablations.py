@@ -58,6 +58,23 @@ def test_empty_seed_list_rejected(runner):
         runner(tiny_ds(), tiny_cfg(), seeds=(), spec=tiny_spec())
 
 
+@pytest.mark.parametrize("runner, kw, named", [
+    (ablations.run_ablation_init, {"seeds": (0, 1, 0)}, "seed '0'"),
+    (ablations.run_ablation_stage, {"seeds": (1, 1)}, "seed '1'"),
+    (ablations.run_ablation_generator,
+     {"grid": ((1, 4, 2), (0, 4, 2), (1, 4, 2))}, "point 'L1.cB4.cA2'"),
+    (ablations.run_ablation_affine,
+     {"magnitudes": (0.1, 0.1)}, "point '0.1.tvconv'"),
+], ids=["init_seed", "stage_seed", "generator_point", "affine_point"])
+def test_repeat_refused_before_training(runner, kw, named, monkeypatch):
+    # a repeated seed only repeats a run; a repeated point also collapses to
+    # one key=value entry, so both are refused before anything trains
+    monkeypatch.setattr(training, "train",
+                        lambda *a, **k: pytest.fail("trained before refusing"))
+    with pytest.raises(ValueError, match=f"{named} is repeated"):
+        runner(tiny_ds(), tiny_cfg(), spec=tiny_spec(), **{"seeds": (0,), **kw})
+
+
 def test_init_rerun_identical():
     a = ablations.run_ablation_init(tiny_ds(), tiny_cfg(), seeds=(0, 1),
                                     spec=tiny_spec())
@@ -144,8 +161,9 @@ def test_translation_pixels():
     assert ablations.translation_pixels(0.4, 32, 32) == 13
     assert ablations.translation_pixels(0.0, 32, 32) == 0
     assert ablations.translation_pixels(0.25, 16, 16) == 4
-    with pytest.raises(ValueError, match="magnitude"):
-        ablations.translation_pixels(-0.1, 32, 32)
+    for bad in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="translation magnitude"):
+            ablations.translation_pixels(bad, 32, 32)
 
 
 def test_affine_zero_magnitude_equals_unaugmented():

@@ -267,6 +267,15 @@ def test_spec_from_kv_reads_false_bool():
     (["gradcheck", "--set", "eps=0"], "eps"),
     (["ablate", "init", *TINY_DATA, "--set", "seeds="], "seed"),
     (["ablate", "generator", *TINY_DATA, "--set", "grid=1,8"], "grid"),
+    (["ablate", "affine", *TINY_DATA, "--set", "magnitudes=inf"],
+     "translation magnitude"),
+    (["ablate", "affine", *TINY_DATA, "--set", "magnitudes=nan"],
+     "translation magnitude"),
+    (["ablate", "init", *TINY_DATA, "--set", "seeds=0,1,0"], "seed '0' is repeated"),
+    (["ablate", "generator", *TINY_DATA, "--set", "grid=1,4,2;1,4,2"],
+     "sweep point 'L1.cB4.cA2' is repeated"),
+    (["ablate", "affine", *TINY_DATA, "--set", "magnitudes=0.1,0.1"],
+     "sweep point '0.1.tvconv' is repeated"),
     (["synth", "--set", "data.noise_std=nan"], "noise_std must be finite"),
     (["synth", "--set", "data.bg_amplitude=nan"], "bg_amplitude must be finite"),
     (["train", *TINY_DATA, "--set", "train.lr=nan"], "lr must be finite"),
@@ -279,7 +288,8 @@ def test_spec_from_kv_reads_false_bool():
       "--set", "train.lr=1e300"], "loss is not finite"),
 ], ids=["grid", "classes", "stride", "blocks", "affinity_channels", "even_k",
         "gen_depth", "stem", "operator_vs_stages", "epochs", "bool", "instances",
-        "eps", "seeds", "grid3", "noise_nan", "bg_nan", "lr_nan", "lr_inf",
+        "eps", "seeds", "grid3", "magnitude_inf", "magnitude_nan", "seed_repeated",
+        "grid_repeated", "magnitude_repeated", "noise_nan", "bg_nan", "lr_nan", "lr_inf",
         "wd_negative", "wd_nan", "drop_nan", "drop_inf", "diverges"])
 def test_bad_value_is_one_error_line(args, names, tmp_path, capsys):
     code, out, err = run_cli([*args, "--out", tmp_path], capsys)
@@ -393,6 +403,23 @@ def test_ablate_init_writes_report(tmp_path, capsys):
     assert code == 0 and err == ""
     text = (tmp_path / "ablation_init.txt").read_text()
     assert "constant" in text and "stats" in text and "err_mean" in text
+
+
+@pytest.mark.parametrize("args, labels", [
+    (["generator", "--set", "grid=1,4,2;0,4,2"], ["L1.cB4.cA2", "L0.cB4.cA2"]),
+    (["stage"], ["none", "s0"]),
+    (["affine", "--set", "magnitudes=0.0,0.25"], ["0.0", "0.25"]),
+], ids=["generator", "stage", "affine"])
+def test_ablate_writes_its_sweep_points(args, labels, tmp_path, capsys):
+    # a sweep key that never reaches its runner would write the default points
+    code, out, err = run_cli(
+        ["ablate", *args, "--out", tmp_path, *TINY_DATA, *TINY_TRAIN,
+         "--set", "train.epochs=2", "--set", "seeds=0"], capsys)
+    assert code == 0 and err == ""
+    table, kv = (tmp_path / f"ablation_{args[0]}.txt").read_text().split("\n\n")
+    assert [line.split()[0] for line in table.splitlines()[2:]] == labels
+    keys = report.parse_kv(kv, "ablation")
+    assert list(dict.fromkeys(k.rpartition(".")[0] for k in keys)) == labels
 
 
 def test_ablate_unknown_name_rejected(tmp_path, capsys):
