@@ -17,9 +17,10 @@ The package splits into layers that can be used independently:
   lifecycle, whose guard compares every parameter's raw bytes with a
   snapshot taken at freeze.
 - `costmodel`: analytic MACs and parameter counts for whole block chains,
-  including a mobilenet-style reference builder and an on-disk arch format.
+  including a mobilenet-style reference builder and a reader for the arch
+  text format.
 - `data`: a synthetic layout-classification task where position carries the
-  label, plus variance statistics and affine perturbations.
+  label, plus variance statistics and random-translation augmentation.
 - `models` / `training`: a small residual backbone that can mount either
   operator, and a seeded SGD harness.
 - `gradsuite` / `ablations` / `report` / `cli`: finite-difference checks,
@@ -44,12 +45,10 @@ from .costmodel import (
     op_macs,
     op_params,
     parse_arch,
-    save_arch,
 )
 from .data import (
     Dataset,
     LayoutDatasetSpec,
-    apply_affine,
     gen_layout_dataset,
     load_dataset,
     save_dataset,
@@ -99,7 +98,6 @@ __all__ = [
     "Tensor",
     "TrainConfig",
     "TrainResult",
-    "apply_affine",
     "default_model_spec",
     "evaluate",
     "export_affinity",
@@ -124,7 +122,6 @@ __all__ = [
     "run_ablation_init",
     "run_ablation_stage",
     "run_suite",
-    "save_arch",
     "save_dataset",
     "save_model",
     "save_tensor",

@@ -13,8 +13,9 @@ fixed (dataset, config, seeds) triple.
 
 The sensitivity runner sweeps translation magnitudes. Translation is the
 perturbation a per-position operator is most exposed to by construction
-(its filters are tied to absolute positions); other affine kinds remain
-available as dataset-level transforms through data.apply_affine.
+(its filters are tied to absolute positions). Two different magnitudes
+that round to one pixel count would train the same runs twice, so they are
+refused before any training.
 """
 
 from __future__ import annotations
@@ -148,6 +149,11 @@ def run_ablation_affine(dataset, cfg: training.TrainConfig,
     spec = spec or models.default_model_spec("depthwise")
     points = [(f"{mag}", translation_pixels(mag, spec.h, spec.w))
               for mag in magnitudes]
+    first = {}   # px -> first magnitude; an exact repeat is left to _sweep
+    for mag, px in points:
+        if first.setdefault(px, mag) != mag:
+            raise ValueError(f"magnitudes {first[px]} and {mag} both round to "
+                             f"{px} px at {spec.h}x{spec.w}")
     runs = tuple((label, s, 1.0 - err) for label, s, err in _sweep(
         dataset, seeds, [(f"{mag}.{op}", models.to_operator(spec, op),
                           replace(cfg, augment_translate=px))

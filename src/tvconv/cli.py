@@ -298,11 +298,15 @@ _ABLATIONS = {"init": (ablations.run_ablation_init, None),
 def cmd_ablate(args: argparse.Namespace) -> int:
     cfg = load_config(args)
     name = cfg["name"]   # the positional argument, one of _ABLATIONS
+    runner, key = _ABLATIONS[name]
+    for other, (_, other_key) in _ABLATIONS.items():
+        if other_key in cfg and other_key != key:
+            raise CliError(f"key {other_key}: only the {other} ablation reads it, "
+                           f"not {name}")
     ds = _load_or_gen_dataset(cfg)
     mspec = _model_spec(cfg, ds)
     tcfg = _train_config(cfg)
     seeds = _get(cfg, "seeds", ablations.DEFAULT_SEEDS)
-    runner, key = _ABLATIONS[name]
     points = {key: _get(cfg, key, None)} if key in cfg else {}
     res = runner(ds, tcfg, seeds=seeds, spec=mspec, **points)
     text = res.table() + "\n\n" + report.format_kv(res.kv())

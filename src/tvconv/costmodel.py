@@ -22,6 +22,7 @@ how the matched-budget comparisons are generated.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -201,6 +202,8 @@ def check_arch(spec: ArchSpec, names: Sequence[str]) -> None:
         raise ArchError("architecture has no blocks")
     if not spec.width > 0:
         raise ArchError(f"width must be > 0, got {spec.width}")
+    if spec.width * max(b.c_out for b in spec.blocks) == math.inf:  # round8 cannot snap inf
+        raise ArchError(f"width must be finite after scaling, got {spec.width}")
     if min(spec.input_shape) < 1:
         raise ArchError(f"input dims must be >= 1, got {spec.input_shape}")
     for name, least in (("gen_affinity", 1), ("gen_width", 1), ("gen_kernel", 1),
@@ -342,26 +345,10 @@ def mobilenet_v2(width: float, in_hw: int = 96, classes: int = 10575,
 _HEADER_KEYS = ("width", "input", "head_embed", "classes",
                 "gen_affinity", "gen_depth", "gen_width", "gen_kernel")
 _BLOCK_KEYS = ("cin", "cout", "k", "stride", "expand", "op")
-# integer headers that are written only when they differ from the default
+# integer headers that take their default when absent
 _OPTIONAL_INTS = {name: ArchSpec.__dataclass_fields__[name].default
                   for name in ("classes", "gen_affinity", "gen_depth",
                                "gen_width", "gen_kernel")}
-
-
-def arch_text(spec: ArchSpec) -> str:
-    lines = [f"width={spec.width}",
-             "input=" + "x".join(str(v) for v in spec.input_shape)]
-    if spec.head_embed is not None:
-        lines.append(f"head_embed={spec.head_embed}")
-    for name, default in _OPTIONAL_INTS.items():
-        val = getattr(spec, name)
-        if val != default:
-            lines.append(f"{name}={val}")
-    for b in spec.blocks:
-        lines.append(
-            f"block {b.kind} cin={b.c_in} cout={b.c_out} k={b.k} "
-            f"stride={b.stride} expand={b.expand} op={b.op}")
-    return "\n".join(lines) + "\n"
 
 
 def _parse_int(value: str, what: str, where: str) -> int:
@@ -448,7 +435,3 @@ def parse_arch(text: str, source: str = "<string>") -> ArchSpec:
 def load_arch(path) -> ArchSpec:
     p = Path(path)
     return parse_arch(p.read_text(), source=str(p))
-
-
-def save_arch(spec: ArchSpec, path) -> None:
-    Path(path).write_text(arch_text(spec))

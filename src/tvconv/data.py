@@ -14,9 +14,6 @@ spatial variance within an image large (the border pedestals differ)
 while the variance of any fixed pixel across images stays small (only
 noise and the occasional pattern) - the regime the operator under test
 is built for.
-
-Affine perturbations for the sensitivity study resample bilinearly about
-the image center with zero fill; integral translations are exact.
 """
 
 from __future__ import annotations
@@ -177,86 +174,7 @@ def variance_stats(images) -> dict[str, float]:
     return {"intra_image_var": intra, "cross_image_var": cross}
 
 
-# --- affine perturbations ----------------------------------------------------
-
-AFFINE_KINDS = ("translate", "rotate", "shear", "scale")
-
-
-@dataclass(frozen=True)
-class AffineTransform:
-    kind: str
-    # translate: (dy, dx) pixels; rotate: degrees; shear: row-offset factor;
-    # scale: magnification ratio. Out-of-frame reads fill with zero.
-    magnitude: object
-
-
-def _check_transform(t: AffineTransform, h: int, w: int):
-    if t.kind == "translate":
-        dy, dx = t.magnitude
-        lim = max(h, w)
-        if abs(dy) > lim or abs(dx) > lim:
-            raise ValueError(
-                f"translate offsets {t.magnitude} exceed image size {h}x{w}")
-        return float(dy), float(dx)
-    if t.kind == "rotate":
-        deg = float(t.magnitude)
-        if abs(deg) > 360.0:
-            raise ValueError(f"rotate magnitude {deg} outside [-360, 360]")
-        return deg
-    if t.kind == "shear":
-        s = float(t.magnitude)
-        if abs(s) > 1.0:
-            raise ValueError(f"shear factor {s} outside [-1, 1]")
-        return s
-    if t.kind == "scale":
-        s = float(t.magnitude)
-        if not 0.1 <= s <= 10.0:
-            raise ValueError(f"scale ratio {s} outside [0.1, 10]")
-        return s
-    raise ValueError(f"unknown transform kind '{t.kind}'")
-
-
-def _bilinear(img: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Sample img[:, ys, xs] bilinearly; out-of-range corners read as zero."""
-    c, h, w = img.shape
-    y0 = np.floor(ys).astype(np.int64)
-    x0 = np.floor(xs).astype(np.int64)
-    fy, fx = ys - y0, xs - x0
-    out = np.zeros((c,) + ys.shape)
-    corners = ((y0, x0, (1 - fy) * (1 - fx)), (y0, x0 + 1, (1 - fy) * fx),
-               (y0 + 1, x0, fy * (1 - fx)), (y0 + 1, x0 + 1, fy * fx))
-    for yy, xx, wgt in corners:
-        valid = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
-        vals = img[:, np.clip(yy, 0, h - 1), np.clip(xx, 0, w - 1)]
-        out += wgt * np.where(valid, vals, 0.0)
-    return out
-
-
-def apply_affine(image: Tensor, t: AffineTransform) -> Tensor:
-    """Resample a [c,h,w] image under the transform, about its center."""
-    if len(image.dims) != 3:
-        raise ValueError(f"expected a rank-3 [c,h,w] image, got {image.dims}")
-    c, h, w = image.dims
-    mag = _check_transform(t, h, w)
-    my, mx = (h - 1) / 2.0, (w - 1) / 2.0
-    rr, cc = np.meshgrid(np.arange(h, dtype=np.float64),
-                         np.arange(w, dtype=np.float64), indexing="ij")
-    if t.kind == "translate":
-        dy, dx = mag
-        ys, xs = rr - dy, cc - dx
-    elif t.kind == "rotate":
-        rad = np.deg2rad(mag)
-        co, si = np.cos(rad), np.sin(rad)
-        ys = my + co * (rr - my) + si * (cc - mx)
-        xs = mx - si * (rr - my) + co * (cc - mx)
-    elif t.kind == "shear":
-        ys = rr
-        xs = cc - mag * (rr - my)
-    else:  # scale
-        ys = my + (rr - my) / mag
-        xs = mx + (cc - mx) / mag
-    return Tensor(_bilinear(image.data, ys, xs).astype(image.data.dtype))
-
+# --- augmentation ------------------------------------------------------------
 
 def random_translations(x: np.ndarray, max_px: int,
                         rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:

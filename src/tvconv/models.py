@@ -100,14 +100,6 @@ def to_operator(spec: ModelSpec, op: str) -> ModelSpec:
                                       for st in spec.stages))
 
 
-def scale_model_spec(spec: ModelSpec, mult: float) -> ModelSpec:
-    """Width-scale stem and stage channels (plain rounding, minimum 1)."""
-    stages = tuple(replace(st, channels=max(1, round(st.channels * mult)))
-                   for st in spec.stages)
-    return replace(spec, stem_channels=max(1, round(spec.stem_channels * mult)),
-                   stages=stages)
-
-
 def desk_arch(spec: ModelSpec) -> tuple[ArchSpec, tuple[str, ...]]:
     """The model as a cost-model chain at its exact widths, and the name of
     each block: the stem, then per stage a strided pointwise transition
@@ -331,24 +323,11 @@ def model_macs(spec: ModelSpec) -> tuple[int, int]:
     return rep.total_macs, rep.one_time_generation_macs
 
 
-def matched_depthwise_twin(spec: ModelSpec, baseline: ModelSpec | None = None,
-                           tol: float = 0.02, max_mult: float = 4.0,
-                           step: float = 0.05) -> tuple[ModelSpec, float]:
-    """Widen a depthwise baseline until its MACs match the given model's
-    within tol. Because per-position application costs exactly a depthwise
-    pass, the unscaled twin already matches when the baseline is the same
-    chain; the scan exists for handicapped baselines."""
-    target, _ = model_macs(spec)
-    base = baseline if baseline is not None else to_operator(spec, "depthwise")
-    for i in range(int(round((max_mult - 1.0) / step)) + 1):
-        mult = round(1.0 + i * step, 10)
-        twin = scale_model_spec(base, mult)
-        got, _ = model_macs(twin)
-        if abs(got - target) <= tol * target:
-            return twin, mult
-    raise ValueError(
-        f"no width multiplier in [1.0, {max_mult}] brings the baseline "
-        f"within {tol:.0%} of {target} MACs")
+def matched_depthwise_twin(spec: ModelSpec) -> tuple[ModelSpec, float]:
+    """The same chain with depthwise stages, and its width multiplier 1.0.
+    Per-position application costs exactly one depthwise pass, so the
+    unscaled twin already matches the model's steady-state MACs."""
+    return to_operator(spec, "depthwise"), 1.0
 
 
 # --- checkpoints --------------------------------------------------------------

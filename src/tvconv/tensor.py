@@ -60,25 +60,6 @@ class Tensor:
     def dtype(self) -> np.dtype:
         return self.data.dtype
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-    def at(self, *idx: int) -> float:
-        """Bounds-checked element access; indices must be 0 <= i < dim."""
-        if len(idx) != self.data.ndim:
-            raise IndexError(f"expected {self.data.ndim} indices, got {len(idx)}")
-        for i, (j, d) in enumerate(zip(idx, self.data.shape)):
-            if not 0 <= j < d:
-                raise IndexError(f"index {j} out of bounds for axis {i} with extent {d}")
-        return float(self.data[idx])
-
-    def astype(self, dtype) -> "Tensor":
-        return Tensor(self.data.astype(dtype))
-
-    def copy(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def __repr__(self) -> str:
         name = "real32" if self.dtype == REAL32 else "real64"
         return f"Tensor(dims={self.dims}, dtype={name})"

@@ -166,6 +166,16 @@ def test_translation_pixels():
             ablations.translation_pixels(bad, 32, 32)
 
 
+def test_magnitudes_that_round_alike_refused_before_training(monkeypatch):
+    # at 16x16, 0.1 and 0.11 are both 2 px, so both rows would train the same runs
+    monkeypatch.setattr(training, "train",
+                        lambda *a, **k: pytest.fail("trained before refusing"))
+    with pytest.raises(ValueError,
+                       match=r"magnitudes 0\.1 and 0\.11 both round to 2 px at 16x16"):
+        ablations.run_ablation_affine(tiny_ds(), tiny_cfg(), magnitudes=(0.0, 0.1, 0.11),
+                                      seeds=(0,), spec=tiny_spec())
+
+
 def test_affine_zero_magnitude_equals_unaugmented():
     ds, cfg = tiny_ds(), tiny_cfg()
     spec = tiny_spec("depthwise")

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import tvconv
-from tvconv import cli, costmodel, data, models, report, training
+from tvconv import cli, data, models, report, training
 
 
 def run_cli(args, capsys):
@@ -29,12 +29,9 @@ TINY_TRAIN = ["--set", "model.stem=4", "--set", "model.stages=4:1:tvconv:2",
 
 
 def write_arch(path):
-    arch = costmodel.ArchSpec(
-        width=1.0, input_shape=(8, 16, 16),
-        blocks=(costmodel.BlockSpec("inverted-residual", 8, 8, 3, 1, 1,
-                                    "depthwise"),))
-    costmodel.save_arch(arch, path)
-    return arch
+    path.write_text("width=1.0\ninput=8x16x16\n"
+                    "block inverted-residual cin=8 cout=8 k=3 stride=1 expand=1 "
+                    "op=depthwise\n")
 
 
 # --- count -------------------------------------------------------------------
@@ -308,6 +305,16 @@ def test_count_bad_block_is_one_error_line(tmp_path, capsys):
                    "got 0\n")
 
 
+def test_count_infinite_width_is_one_error_line(tmp_path, capsys):
+    # round8 used to raise OverflowError on an infinite scaled channel count
+    arch_file = tmp_path / "arch.txt"
+    write_arch(arch_file)
+    arch_file.write_text(arch_file.read_text().replace("width=1.0", "width=inf"))
+    code, out, err = run_cli(["count", arch_file, "--out", tmp_path], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: width must be finite after scaling, got inf\n"
+
+
 # --- train / eval / export ----------------------------------------------------
 
 
@@ -420,6 +427,26 @@ def test_ablate_writes_its_sweep_points(args, labels, tmp_path, capsys):
     assert [line.split()[0] for line in table.splitlines()[2:]] == labels
     keys = report.parse_kv(kv, "ablation")
     assert list(dict.fromkeys(k.rpartition(".")[0] for k in keys)) == labels
+
+
+@pytest.mark.parametrize("name, key, owner", [
+    ("init", "grid", "generator"),
+    ("init", "magnitudes", "affine"),
+    ("generator", "magnitudes", "affine"),
+    ("affine", "grid", "generator"),
+], ids=["init_grid", "init_magnitudes", "generator_magnitudes", "affine_grid"])
+def test_ablate_refuses_another_ablations_sweep_key(name, key, owner, tmp_path,
+                                                     capsys, monkeypatch):
+    # such a key used to be dropped without a word; it is refused before
+    # any data is generated
+    monkeypatch.setattr(data, "gen_layout_dataset",
+                        lambda *a, **k: pytest.fail("generated data before refusing"))
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(["ablate", name, "--out", out_dir, *TINY_DATA,
+                              "--set", f"{key}=0.1"], capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: key {key}: only the {owner} ablation reads it, not {name}\n"
+    assert not out_dir.exists()
 
 
 def test_ablate_unknown_name_rejected(tmp_path, capsys):

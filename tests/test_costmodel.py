@@ -241,9 +241,12 @@ ONE_BLOCK = ("width=1.0\ninput=8x16x16\n{header}"
     ("expand=1", "expand=0", r"block 1 \(b1.inverted-residual\): expand must be >= 1"),
     ("cout=8", "cout=0", r"block 1 \(b1.inverted-residual\): c_out must be >= 1"),
     ("width=1.0", "width=-1.0", r"width must be > 0, got -1.0"),
+    ("width=1.0", "width=inf", r"width must be finite after scaling, got inf"),
+    ("width=1.0", "width=1e308", r"width must be finite after scaling, got 1e\+308"),
     ("{header}", "gen_depth=-2\n", r"gen_depth must be >= 0, got -2"),
     ("{header}", "gen_kernel=2\n", r"gen_kernel must be odd, got 2"),
-], ids=["stride", "k", "expand", "cout", "width", "gen_depth", "gen_kernel"])
+], ids=["stride", "k", "expand", "cout", "width", "width_inf", "width_overflow",
+        "gen_depth", "gen_kernel"])
 def test_bad_arch_file_is_rejected_by_field(old, new, match, tmp_path):
     # each of these was once priced without a word (stride=0 divided by zero)
     path = tmp_path / "arch.txt"
@@ -307,13 +310,25 @@ def test_mobilenet_like_structure():
 
 # --- arch text --------------------------------------------------------------
 
-def test_arch_text_round_trip():
-    spec = ArchSpec(0.5, (3, 32, 32), (
+def test_parse_arch_optional_headers():
+    # every optional header set away from its default
+    text = """\
+width=0.5
+input=3x32x32
+head_embed=128
+classes=10
+gen_affinity=2
+gen_depth=1
+gen_width=8
+gen_kernel=1
+block plain cin=3 cout=16 k=3 stride=1 expand=1 op=depthwise
+block inverted-residual cin=16 cout=24 k=3 stride=2 expand=6 op=tvconv
+"""
+    assert cm.parse_arch(text) == ArchSpec(0.5, (3, 32, 32), (
         BlockSpec("plain", 3, 16, 3, 1, 1, "depthwise"),
         BlockSpec("inverted-residual", 16, 24, 3, 2, 6, "tvconv"),
     ), head_embed=128, classes=10, gen_affinity=2, gen_depth=1,
        gen_width=8, gen_kernel=1)
-    assert cm.parse_arch(cm.arch_text(spec)) == spec
 
 
 def test_parse_arch_full_example():

@@ -1,15 +1,15 @@
-"""Layout dataset and affine-transform oracles.
+"""Layout dataset and translation augmentation.
 
 The dataset construction is checked structurally (noiseless images decompose
 into per-cell pedestals plus known stripe patterns), the variance statistic
-against degenerate hand cases and its i.i.d. null, and the transforms
-against loop/rot90 oracles plus hand-placed deltas."""
+against degenerate hand cases and its i.i.d. null, and the random
+translations against a loop oracle."""
 
 import numpy as np
 import pytest
 
 from tvconv import data
-from tvconv.data import AffineTransform, LayoutDatasetSpec
+from tvconv.data import LayoutDatasetSpec
 from tvconv.seeding import rng_for, subseed
 from tvconv.tensor import Tensor, save_tensor
 
@@ -189,7 +189,7 @@ def test_variance_singleton_rejected():
         data.variance_stats(np.zeros((1, 1, 4, 4)))
 
 
-# --- affine transforms -------------------------------------------------------
+# --- translations ------------------------------------------------------------
 
 def shift_oracle(img: np.ndarray, dy: int, dx: int) -> np.ndarray:
     out = np.zeros_like(img)
@@ -202,102 +202,6 @@ def shift_oracle(img: np.ndarray, dy: int, dx: int) -> np.ndarray:
     return out
 
 
-def rand_image(rng, c=1, h=9, w=9) -> Tensor:
-    return Tensor(rng.uniform(-1, 1, size=(c, h, w)))
-
-
-def test_translate_zero_is_identity():
-    rng = np.random.default_rng(0)
-    x = rand_image(rng)
-    y = data.apply_affine(x, AffineTransform("translate", (0, 0)))
-    assert np.array_equal(y.data, x.data)
-
-
-def test_translate_integral_exact():
-    rng = np.random.default_rng(1)
-    for _ in range(10):
-        x = rand_image(rng, c=2, h=8, w=10)
-        dy, dx = int(rng.integers(-7, 8)), int(rng.integers(-9, 10))
-        y = data.apply_affine(x, AffineTransform("translate", (dy, dx)))
-        assert np.array_equal(y.data, shift_oracle(x.data, dy, dx))
-
-
-def test_translate_full_size_clears():
-    rng = np.random.default_rng(2)
-    x = rand_image(rng, h=8, w=8)
-    y = data.apply_affine(x, AffineTransform("translate", (8, 8)))
-    assert np.all(y.data == 0)
-
-
-def test_rotate_90_matches_rot90():
-    rng = np.random.default_rng(3)
-    x = rand_image(rng, c=2, h=7, w=7)
-    y = data.apply_affine(x, AffineTransform("rotate", 90.0))
-    assert np.allclose(y.data, np.rot90(x.data, 1, axes=(-2, -1)), atol=1e-12)
-
-
-def test_rotate_four_quarters_identity():
-    rng = np.random.default_rng(4)
-    x = rand_image(rng, h=6, w=6)
-    y = x
-    for _ in range(4):
-        y = data.apply_affine(y, AffineTransform("rotate", 90.0))
-    assert np.allclose(y.data, x.data, atol=1e-12)
-
-
-def test_rotate_full_turn_identity():
-    rng = np.random.default_rng(5)
-    x = rand_image(rng, h=8, w=8)
-    y = data.apply_affine(x, AffineTransform("rotate", 360.0))
-    assert np.allclose(y.data, x.data, atol=1e-6)
-
-
-def test_shear_moves_rows_by_offset():
-    img = np.zeros((1, 33, 33))
-    img[0, 20, 10] = 1.0
-    y = data.apply_affine(Tensor(img), AffineTransform("shear", 1.0))
-    # center row 16; row 20 shifts right by 4
-    assert y.data[0, 20, 14] == pytest.approx(1.0)
-    assert y.data.sum() == pytest.approx(1.0)
-
-
-def test_shear_zero_identity():
-    rng = np.random.default_rng(6)
-    x = rand_image(rng)
-    y = data.apply_affine(x, AffineTransform("shear", 0.0))
-    assert np.array_equal(y.data, x.data)
-
-
-def test_scale_frozen_values():
-    img = Tensor(np.arange(25.0).reshape(1, 5, 5))
-    y = data.apply_affine(img, AffineTransform("scale", 2.0))
-    assert y.data[0, 2, 2] == pytest.approx(12.0)   # center fixed
-    assert y.data[0, 4, 4] == pytest.approx(18.0)   # samples (3,3)
-    assert y.data[0, 3, 3] == pytest.approx(15.0)   # bilinear mid
-    assert y.data[0, 1, 1] == pytest.approx(9.0)
-
-
-def test_scale_one_identity():
-    rng = np.random.default_rng(7)
-    x = rand_image(rng)
-    y = data.apply_affine(x, AffineTransform("scale", 1.0))
-    assert np.array_equal(y.data, x.data)
-
-
-def test_affine_range_validation():
-    x = Tensor(np.zeros((1, 32, 32)))
-    with pytest.raises(ValueError, match="translate"):
-        data.apply_affine(x, AffineTransform("translate", (40, 0)))
-    with pytest.raises(ValueError, match="rotate"):
-        data.apply_affine(x, AffineTransform("rotate", 400.0))
-    with pytest.raises(ValueError, match="shear"):
-        data.apply_affine(x, AffineTransform("shear", 1.5))
-    with pytest.raises(ValueError, match="scale"):
-        data.apply_affine(x, AffineTransform("scale", 0.05))
-    with pytest.raises(ValueError, match="kind"):
-        data.apply_affine(x, AffineTransform("swirl", 1.0))
-
-
 def test_random_translations_match_per_image_transform():
     rng = np.random.default_rng(8)
     x = rng.uniform(size=(6, 1, 12, 12))
@@ -306,9 +210,8 @@ def test_random_translations_match_per_image_transform():
     assert offsets.shape == (6, 2)
     assert np.abs(offsets).max() <= 4
     for i in range(6):
-        ref = data.apply_affine(
-            Tensor(x[i]), AffineTransform("translate", tuple(offsets[i])))
-        assert np.array_equal(shifted[i], ref.data)
+        dy, dx = offsets[i]
+        assert np.array_equal(shifted[i], shift_oracle(x[i], dy, dx))
     again, off2 = data.random_translations(
         x, max_px=4, rng=np.random.default_rng(99))
     assert np.array_equal(shifted, again)

@@ -1,10 +1,11 @@
 """Desk-scale network assembly: parameter naming/shapes, tape forward
 cross-checked against the single-layer operator module, hand-counted MAC
-totals, matched-budget twin construction, freeze consistency,
+totals, the matched depthwise twin, freeze consistency,
 checkpoint round-trips and the checks load_model makes at that boundary."""
 
 import hashlib
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -240,8 +241,8 @@ def test_model_macs_frozen():
                                      gen_kernel=5)) == (339_072, 5_760_000)
     # 17 channels are priced as given; the cost model's snap to multiples of
     # 8 belongs to network_cost's width multiplier and would give 158,848
-    wide = models.scale_model_spec(dw_spec(), 1.05)
-    assert wide.stem_channels == 8 and wide.stages[1].channels == 17
+    s0, s1 = dw_spec().stages
+    wide = replace(dw_spec(), stages=(s0, replace(s1, channels=17)))
     assert models.model_macs(wide) == (162_056, 0)
 
 
@@ -276,18 +277,6 @@ def test_matched_twin_is_exact_at_parity():
     assert mult == 1.0
     assert all(st.operator == "depthwise" for st in twin.stages)
     assert models.model_macs(twin)[0] == models.model_macs(tv_spec())[0]
-
-
-def test_matched_twin_search_really_searches():
-    # handicapping the baseline forces the multiplier above 1
-    slim = models.default_model_spec("tvconv")
-    handicapped = models.scale_model_spec(
-        models.to_operator(slim, "depthwise"), 0.5)
-    target, _ = models.model_macs(slim)
-    twin, mult = models.matched_depthwise_twin(slim, baseline=handicapped)
-    assert mult > 1.0
-    got, _ = models.model_macs(twin)
-    assert abs(got - target) <= 0.02 * target
 
 
 # --- freeze and checkpoints --------------------------------------------------

@@ -1,0 +1,42 @@
+"""The README's examples name only what the package has: the quickstart's
+imports, the command line block's commands and the train.cfg example's
+keys are read out of README.md and looked up in the code."""
+
+import ast
+import re
+from pathlib import Path
+
+import tvconv
+from tvconv import cli
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+
+def code_block(section: str, lang: str) -> str:
+    """The first fenced `lang` block under the `## section` heading."""
+    body = README.split(f"\n## {section}\n", 1)[1].split("\n## ", 1)[0]
+    return re.search(rf"```{lang}\n(.*?)```", body, re.S).group(1)
+
+
+def test_quickstart_imports_are_public():
+    tree = ast.parse(code_block("Library quickstart", "python"))
+    names = [a.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "tvconv"
+             for a in node.names]
+    assert names
+    for name in names:
+        assert hasattr(tvconv, name) and name in tvconv.__all__, name
+
+
+def test_command_line_block_names_real_commands():
+    commands = re.findall(r"^tvconv (\S+)", code_block("Command line", "sh"), re.M)
+    assert commands
+    assert set(commands) - set(cli._COMMANDS) == set()
+
+
+def test_train_cfg_example_keys_are_known():
+    keys = [line.partition("=")[0].strip()
+            for line in code_block("Command line", "ini").splitlines()
+            if line.strip() and not line.lstrip().startswith("#")]
+    assert keys
+    assert set(keys) - cli.KNOWN_KEYS["train"] == set()

@@ -26,7 +26,6 @@ class TestTensorInvariants:
     def test_dims_match_data(self):
         t = Tensor([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
         assert t.dims == (2, 3)
-        assert t.size == 6
         assert t.dtype == REAL64
 
     def test_row_major_contiguous(self):
@@ -56,20 +55,6 @@ class TestTensorInvariants:
     def test_real32_preserved(self):
         t = Tensor(np.ones((4,), dtype=np.float32))
         assert t.dtype == REAL32
-
-    def test_element_access_in_bounds(self):
-        t = Tensor([[1.0, 2.0], [3.0, 4.0]])
-        assert t.at(0, 1) == 2.0
-        assert t.at(1, 0) == 3.0
-
-    def test_element_access_out_of_bounds(self):
-        t = Tensor([[1.0, 2.0], [3.0, 4.0]])
-        with pytest.raises(IndexError):
-            t.at(2, 0)
-        with pytest.raises(IndexError):
-            t.at(0, -1)
-        with pytest.raises(IndexError):
-            t.at(0)
 
 
 class TestTvtensorFormat:
