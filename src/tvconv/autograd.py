@@ -121,13 +121,13 @@ def _tvconv_bwd(n, g):
     return kernels.tvconv_dx(g, wf.value), kernels.tvconv_dw(g, x.value, wf.value.shape[1])
 
 
-def layer_norm(x: Node, gamma: Node, beta: Node, eps: float = 1e-5, relu: bool = False,
+def layer_norm(x: Node, gamma: Node, beta: Node, relu: bool = False,
                residual: Node | None = None, stride: int = 1) -> Node:
-    """Layer norm and its epilogue as one node: after the affine, add
-    `residual`, then the ReLU with `relu`, then keep every `stride`-th row and
-    column. The residual is a fourth parent."""
+    """Layer norm (epsilon 1e-5) and its epilogue as one node: after the
+    affine, add `residual`, then the ReLU with `relu`, then keep every
+    `stride`-th row and column. The residual is a fourth parent."""
     res = None if residual is None else residual.value
-    y, mean, inv_std = kernels.layer_norm_fwd(x.value, gamma.value, beta.value, eps,
+    y, mean, inv_std = kernels.layer_norm_fwd(x.value, gamma.value, beta.value, 1e-5,
                                               relu=relu, residual=res, stride=stride)
     parents = (x, gamma, beta) if residual is None else (x, gamma, beta, residual)
     return Node("layer_norm", y, parents,
@@ -230,10 +230,6 @@ def _softmax_xent_bwd(n, g):
 @_rule("leaf")
 def _leaf_bwd(n, g):
     return ()
-
-
-def registered_ops() -> tuple[str, ...]:
-    return tuple(sorted(k for k in _RULES if k != "leaf"))
 
 
 # ---------------------------------------------------------- backward

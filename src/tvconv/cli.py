@@ -47,8 +47,8 @@ _SECTIONS = {"data": data.LayoutDatasetSpec, "model": models.ModelSpec,
              "train": training.TrainConfig}
 _RENAMED = {"model.stem_channels": "model.stem", "train.batch_size": "train.batch",
             "train.lr_drops": "train.drops"}
-_NOT_KEYS = {"data.seed", "data.assignments", "train.seed", "model.in_channels",
-             "model.h", "model.w", "model.classes"}
+_NOT_KEYS = {"data.seed", "train.seed", "model.in_channels", "model.h", "model.w",
+             "model.classes"}
 
 # config key -> field name, per section
 _FIELDS = {name: {_RENAMED.get(f"{name}.{f.name}", f"{name}.{f.name}"): f.name
@@ -90,10 +90,7 @@ def load_config(args: argparse.Namespace) -> dict[str, str]:
         path = args.config
         if not path.is_file():
             raise CliError(f"config file not found: {path}")
-        try:
-            merged.update(report.parse_kv(path.read_text(), str(path)))
-        except report.KvError as e:
-            raise CliError(str(e)) from e
+        merged.update(report.parse_kv(path.read_text(), str(path)))
     for i, item in enumerate(args.overrides + _flag_overrides(args)):
         if "=" not in item:
             raise CliError(f"--set:{i + 1}: expected KEY=VALUE, got '{item}'")
@@ -231,16 +228,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    cfg = load_config(args)
-    if "arch" not in cfg:
-        raise CliError("count needs an architecture file (ARCH positional)")
-    path = Path(cfg["arch"])
+    path = Path(load_config(args)["arch"])   # the positional argument
     if not path.is_file():
         raise CliError(f"architecture file not found: {path}")
-    try:
-        rep = network_cost(load_arch(path))
-    except (ValueError, report.KvError) as e:
-        raise CliError(str(e)) from e
+    rep = network_cost(load_arch(path))
     out = _emit(args, "count.txt", rep.table() + "\n" + report.format_kv(rep.kv()))
     print(f"total_macs={rep.total_macs}")
     print(f"total_params={rep.total_params}")

@@ -324,11 +324,10 @@ _MOBILENET_TABLE = (
 )
 
 
-def mobilenet_v2(width: float, in_hw: int = 96, classes: int = 10575,
-                 op: str = "depthwise") -> ArchSpec:
+def mobilenet_v2(width: float, op: str = "depthwise") -> ArchSpec:
     """Inverted-residual reference chain for 96x96 face-sized inputs: dense
     stem, the standard bottleneck table, then a global-depthwise head into a
-    512-dim embedding and a classifier."""
+    512-dim embedding and a 10,575-way classifier."""
     blocks = [BlockSpec("plain", 3, 32, 3, 1, 1, "depthwise")]
     c_prev = 32
     for expand, c, repeats, stride in _MOBILENET_TABLE:
@@ -336,8 +335,7 @@ def mobilenet_v2(width: float, in_hw: int = 96, classes: int = 10575,
             blocks.append(BlockSpec("inverted-residual", c_prev, c, 3,
                                     stride if j == 0 else 1, expand, op))
             c_prev = c
-    return ArchSpec(width, (3, in_hw, in_hw), tuple(blocks),
-                    head_embed=512, classes=classes)
+    return ArchSpec(width, (3, 96, 96), tuple(blocks), head_embed=512, classes=10575)
 
 
 # --- text form ---------------------------------------------------------------

@@ -3,12 +3,12 @@
 Every image shares one fixed spatial layout: a g x g grid of cells with
 base intensities drawn once per dataset. Border cells get independent
 random levels; interior cells all share the mid level. Class identity is
-a small oriented stripe pattern added inside a class-specific cell, and
-the default assignment puts classes in the interior, where the flat
-shared pedestal leaves position as the only class cue: if interior cells
-had distinct levels, "stripe on level 0.7" would identify the class
-through intensity alone, which a translation-equivariant model can
-exploit, and the task would no longer test position sensitivity.
+a small oriented stripe pattern added inside a class-specific cell. The
+placement is fixed: `default_assignments` puts classes in the interior
+first, where the flat shared pedestal leaves position as the only class
+cue: if interior cells had distinct levels, "stripe on level 0.7" would
+identify the class through intensity alone, which a translation-equivariant
+model can exploit, and the task would no longer test position sensitivity.
 Per-image i.i.d. Gaussian noise goes on top. This construction makes the
 spatial variance within an image large (the border pedestals differ)
 while the variance of any fixed pixel across images stays small (only
@@ -45,8 +45,6 @@ class LayoutDatasetSpec:
     w: int = 32
     grid: int = 4
     classes: int = 8
-    # ((row, col), orientation) per class; None selects default_assignments
-    assignments: tuple | None = None
     bg_amplitude: float = 1.3
     noise_std: float = 0.05
     n_train: int = 200
@@ -96,6 +94,7 @@ def stripe_pattern(orient: str, h: int, w: int) -> np.ndarray:
 
 
 def _validate(spec: LayoutDatasetSpec) -> tuple:
+    """Refuse a spec that cannot be drawn; return its class placement."""
     for name in ("channels", "h", "w", "grid", "classes", "n_train", "n_test"):
         if getattr(spec, name) < 1:
             raise ValueError(f"{name} must be >= 1, got {getattr(spec, name)}")
@@ -106,19 +105,7 @@ def _validate(spec: LayoutDatasetSpec) -> tuple:
         value = getattr(spec, name)
         if not 0 <= value < math.inf:  # false for nan too
             raise ValueError(f"{name} must be finite and >= 0, got {value}")
-    if spec.assignments is None:
-        assignments = default_assignments(spec.grid, spec.classes)
-    else:
-        assignments = tuple(spec.assignments)
-        if len(assignments) != spec.classes:
-            raise ValueError(
-                f"{spec.classes} classes but {len(assignments)} assignments")
-        for (r, c), orient in assignments:
-            if not (0 <= r < spec.grid and 0 <= c < spec.grid):
-                raise ValueError(f"cell ({r},{c}) outside {spec.grid}x{spec.grid} grid")
-            if orient not in ORIENTATIONS:
-                raise ValueError(f"unknown stripe orientation '{orient}'")
-    return assignments
+    return default_assignments(spec.grid, spec.classes)
 
 
 def gen_layout_dataset(spec: LayoutDatasetSpec) -> Dataset:
@@ -194,27 +181,10 @@ def random_translations(x: np.ndarray, max_px: int,
 
 # --- persistence -------------------------------------------------------------
 
-def _assignments_text(assignments: tuple | None) -> str:
-    if assignments is None:
-        return "default"
-    return ";".join(f"{r},{c}:{o}" for (r, c), o in assignments)
-
-
-def _assignments_parse(text: str) -> tuple | None:
-    if text == "default":
-        return None
-    pairs = []
-    for part in text.split(";"):
-        cell, _, orient = part.partition(":")
-        r, _, c = cell.partition(",")
-        pairs.append(((int(r), int(c)), orient))
-    return tuple(pairs)
-
-
 def save_dataset(ds: Dataset, path) -> None:
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
-    meta = report.spec_kv(ds.spec, assignments=_assignments_text)
+    meta = report.spec_kv(ds.spec)
     (out / "meta.txt").write_text(report.format_kv(meta))
     stacked = np.concatenate([ds.train_x, ds.test_x])
     save_tensor(Tensor(stacked), out / "images.tvt")
@@ -226,8 +196,7 @@ def load_dataset(path) -> Dataset:
     src = Path(path)
     source = str(src / "meta.txt")
     spec = report.spec_from_kv(
-        LayoutDatasetSpec, report.parse_kv((src / "meta.txt").read_text(), source),
-        source, assignments=_assignments_parse)
+        LayoutDatasetSpec, report.parse_kv((src / "meta.txt").read_text(), source), source)
     try:
         _validate(spec)
     except ValueError as e:

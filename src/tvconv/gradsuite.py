@@ -21,6 +21,7 @@ end as its own entry.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -225,7 +226,7 @@ def check_op(op: str, rng: np.random.Generator, tol: float = 1e-5, eps: float = 
 
             num = finite_diff_grad(f, params[name], eps=eps)
             rep = grad_check(grads[nodes[name]], num, tol=tol)
-            worst = max(worst, rep.max_rel_err)
+            worst = float(np.maximum(worst, rep.max_rel_err))  # a nan stays and fails
     return OpCheckResult(op, instances, worst, worst < tol)
 
 
@@ -233,8 +234,9 @@ def run_suite(seed: int = 0, tol: float = 1e-5, eps: float = 1e-6, instances: in
               ops: list[str] | None = None) -> list[OpCheckResult]:
     if instances < 1:
         raise ValueError(f"instances must be >= 1, got {instances}")
-    if eps <= 0:
-        raise ValueError(f"eps must be > 0, got {eps}")
+    for name, value in (("tol", tol), ("eps", eps)):
+        if not 0 < value < math.inf:  # false for nan too
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
     names = list(GENERATORS) if ops is None else list(ops)
     unknown = [n for n in names if n not in GENERATORS]
     if unknown:

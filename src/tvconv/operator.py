@@ -70,10 +70,12 @@ class GeneratorParams:
 
     hidden: list[HiddenLayer]
     w_out: np.ndarray
-    k_gen: int
     channels: int
     k: int
-    eps: float = 1e-5
+
+    @property
+    def k_gen(self) -> int:
+        return self.w_out.shape[-1]
 
     @property
     def affinity_channels(self) -> int:
@@ -122,7 +124,7 @@ class GeneratorParams:
             prev = width
         sd = np.sqrt(2.0 / (prev * k_gen * k_gen))
         w_out = rng.standard_normal((channels * k * k, prev, k_gen, k_gen)) * sd
-        return cls(hidden=hidden, w_out=w_out, k_gen=k_gen, channels=channels, k=k)
+        return cls(hidden=hidden, w_out=w_out, channels=channels, k=k)
 
 
 def generator_field(nodes: dict[str, ag.Node], gen: GeneratorParams) -> ag.Node:
@@ -130,14 +132,14 @@ def generator_field(nodes: dict[str, ag.Node], gen: GeneratorParams) -> ag.Node:
     (a view of the output conv).
 
     `nodes` maps "affinity" and every `gen.arrays()` name to a node; `gen`
-    supplies only the structure (depth, eps, c, k).
+    supplies only the structure (depth, c, k).
     """
     aff = nodes["affinity"]
     c_a, h, w = aff.value.shape
     a = ag.reshape(aff, (1, c_a, h, w))
     for i in range(gen.depth):
         a = ag.conv(a, nodes[f"h{i}.w"])
-        a = ag.layer_norm(a, nodes[f"h{i}.gamma"], nodes[f"h{i}.beta"], gen.eps, relu=True)
+        a = ag.layer_norm(a, nodes[f"h{i}.gamma"], nodes[f"h{i}.beta"], relu=True)
     return ag.reshape(ag.conv(a, nodes["out.w"]), (gen.channels, gen.k, gen.k, h, w))
 
 
@@ -232,7 +234,8 @@ def init_affinity_from_stats(images, affinity_channels: int, h: int, w: int) -> 
 
 
 class TVConvLayer:
-    """One translation-variant conv layer bound to a fixed (c, h, w).
+    """One translation-variant conv layer bound to a fixed (c, h, w): the
+    generator's c and the affinity maps' h and w.
 
     Starts in training mode, where weights() regenerates the field from the
     current parameters. freeze() generates once and caches the field with a
@@ -242,17 +245,13 @@ class TVConvLayer:
     bytes and refuses, naming the array.
     """
 
-    def __init__(self, affinity: np.ndarray, gen: GeneratorParams, h: int, w: int):
+    def __init__(self, affinity: np.ndarray, gen: GeneratorParams):
         affinity = np.asarray(affinity)
-        if affinity.shape != (gen.affinity_channels, h, w):
-            raise ValueError(
-                f"affinity shape {affinity.shape} does not match "
-                f"({gen.affinity_channels}, {h}, {w})"
-            )
+        if affinity.ndim != 3 or affinity.shape[0] != gen.affinity_channels:
+            raise ValueError(f"affinity shape {affinity.shape} does not match "
+                             f"[{gen.affinity_channels}, h, w]")
         self.affinity = affinity
         self.gen = gen
-        self.h = h
-        self.w = w
         self._cache: np.ndarray | None = None
         self._frozen_bytes: tuple | None = None
 
@@ -267,15 +266,14 @@ class TVConvLayer:
         depth: int = 3,
         width: int = 64,
         k_gen: int = 3,
-        affinity_value: float = 1.0,
         seed: int | None = None,
         rng: np.random.Generator | None = None,
     ) -> "TVConvLayer":
+        """Fresh generator weights over affinity maps that are all ones."""
         gen = GeneratorParams.create(
             channels, k, affinity_channels, depth, width, k_gen, seed=seed, rng=rng
         )
-        aff = np.full((affinity_channels, h, w), affinity_value, dtype=np.float64)
-        return cls(aff, gen, h, w)
+        return cls(np.ones((affinity_channels, h, w)), gen)
 
     @property
     def frozen(self) -> bool:

@@ -38,14 +38,13 @@ class Tensor:
 
     __slots__ = ("data",)
 
-    def __init__(self, data, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data):
+        arr = np.asarray(data)
         if arr.dtype not in (REAL32, REAL64):
             # Int/bool literals are promoted; anything else is a caller bug.
-            if dtype is None and arr.dtype.kind in "iub":
-                arr = arr.astype(REAL64)
-            else:
+            if arr.dtype.kind not in "iub":
                 raise TypeError(f"tensor dtype must be real32 or real64, got {arr.dtype}")
+            arr = arr.astype(REAL64)
         if arr.ndim < 1:
             raise ValueError("tensor must have at least one axis")
         if any(d < 1 for d in arr.shape):

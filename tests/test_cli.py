@@ -57,6 +57,16 @@ def test_count_idempotent_bytes(tmp_path, capsys):
     assert (tmp_path / "count.txt").read_bytes() == first
 
 
+def test_count_verbose_prints_the_table(tmp_path, capsys):
+    arch_file = tmp_path / "arch.txt"
+    write_arch(arch_file)
+    code, out, err = run_cli(["count", arch_file, "--out", tmp_path, "--verbose"],
+                             capsys)
+    assert code == 0 and err == ""
+    table = (tmp_path / "count.txt").read_text().split("\n\n")[0]
+    assert table and table in out
+
+
 def test_count_missing_file_diagnostic(tmp_path, capsys):
     code, out, err = run_cli(["count", tmp_path / "nope.txt",
                               "--out", tmp_path], capsys)
@@ -116,11 +126,14 @@ def test_unknown_key_rejected_by_name(tmp_path, capsys):
 
 def test_config_file_error_names_file_and_line(tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
-    cfg.write_text("seed=1\nnot a pair\n")
-    code, out, err = run_cli(["synth", "--config", cfg, "--out", tmp_path],
-                             capsys)
-    assert code == 1
-    assert f"{cfg}:2" in err
+    for text, what in [("seed=1\nnot a pair\n", "expected key=value"),
+                       ("seed=1\n=2\n", "empty key"),
+                       ("seed=1\nseed=2\n", "duplicate key 'seed'")]:
+        cfg.write_text(text)
+        code, out, err = run_cli(["synth", "--config", cfg, "--out", tmp_path],
+                                 capsys)
+        assert code == 1
+        assert err.startswith(f"error: {cfg}:2: {what}") and err.count("\n") == 1
 
 
 def test_override_beats_config_file(tmp_path, capsys):
@@ -262,6 +275,10 @@ def test_spec_from_kv_reads_false_bool():
      "train.decay_affinity"),
     (["gradcheck", "--set", "instances=0"], "instances"),
     (["gradcheck", "--set", "eps=0"], "eps"),
+    (["gradcheck", "--set", "eps=nan"], "eps must be finite and > 0, got nan"),
+    (["gradcheck", "--set", "eps=inf"], "eps must be finite and > 0, got inf"),
+    (["gradcheck", "--set", "tol=nan"], "tol must be finite and > 0, got nan"),
+    (["gradcheck", "--tol", "0"], "tol must be finite and > 0, got 0"),
     (["ablate", "init", *TINY_DATA, "--set", "seeds="], "seed"),
     (["ablate", "generator", *TINY_DATA, "--set", "grid=1,8"], "grid"),
     (["ablate", "affine", *TINY_DATA, "--set", "magnitudes=inf"],
@@ -283,11 +300,25 @@ def test_spec_from_kv_reads_false_bool():
     (["train", *TINY_DATA, "--set", "train.drops=20:inf"], "lr_drops divisor"),
     (["train", *TINY_DATA, *TINY_TRAIN, "--set", "train.batch=4",
       "--set", "train.lr=1e300"], "loss is not finite"),
+    (["synth", "--config", "no-such-config.txt"],
+     "config file not found: no-such-config.txt"),
+    (["synth", "--set", "data.h"], "--set:1: expected KEY=VALUE, got 'data.h'"),
+    (["synth", "--set", "=16"], "--set:1: empty key in '=16'"),
+    (["train", "--set", "data.path=no-such-dataset"],
+     "dataset directory not found: no-such-dataset"),
+    (["eval", "--data", "no-such-dataset"], "eval needs a checkpoint"),
+    (["eval", "--checkpoint", "no-such-checkpoint"], "eval needs a dataset"),
+    (["export-affinity"], "export-affinity needs a checkpoint"),
+    (["export-affinity", "--checkpoint", "no-such-checkpoint"],
+     "checkpoint directory not found: no-such-checkpoint"),
 ], ids=["grid", "classes", "stride", "blocks", "affinity_channels", "even_k",
         "gen_depth", "stem", "operator_vs_stages", "epochs", "bool", "instances",
-        "eps", "seeds", "grid3", "magnitude_inf", "magnitude_nan", "seed_repeated",
-        "grid_repeated", "magnitude_repeated", "noise_nan", "bg_nan", "lr_nan", "lr_inf",
-        "wd_negative", "wd_nan", "drop_nan", "drop_inf", "diverges"])
+        "eps", "eps_nan", "eps_inf", "tol_nan", "tol_zero", "seeds", "grid3",
+        "magnitude_inf", "magnitude_nan", "seed_repeated", "grid_repeated",
+        "magnitude_repeated", "noise_nan", "bg_nan", "lr_nan", "lr_inf", "wd_negative",
+        "wd_nan", "drop_nan", "drop_inf", "diverges", "config_missing",
+        "set_without_equals", "set_empty_key", "dataset_missing", "eval_no_checkpoint",
+        "eval_no_data", "export_no_checkpoint", "export_checkpoint_missing"])
 def test_bad_value_is_one_error_line(args, names, tmp_path, capsys):
     code, out, err = run_cli([*args, "--out", tmp_path], capsys)
     assert code == 1
@@ -376,6 +407,28 @@ def test_export_affinity_fresh_model_is_midgray(tmp_path, capsys):
         header, pixels = blob.split(b"\n255\n", 1)
         assert header.startswith(b"P5")
         assert set(pixels) == {128}
+
+
+def test_export_affinity_depthwise_checkpoint_refused(tmp_path, capsys):
+    spec = models.default_model_spec("depthwise", h=16, w=16, classes=4,
+                                     stem_channels=4,
+                                     stages=(models.StageSpec(4, 1, "depthwise", 2),))
+    models.save_model(models.LayoutModel.create(spec, seed=0), tmp_path / "dw")
+    code, out, err = run_cli(["export-affinity", "--checkpoint", tmp_path / "dw",
+                              "--out", tmp_path / "maps"], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: checkpoint has no per-position stages to export\n"
+
+
+def test_train_verbose_prints_each_epoch(tmp_path, capsys):
+    code, out, err = run_cli(["train", "--out", tmp_path, *TINY_DATA, *TINY_TRAIN,
+                              "--set", "train.epochs=2", "--verbose"], capsys)
+    assert code == 0 and err == ""
+    printed = [line for line in out.splitlines() if line.startswith("epoch ")]
+    rows = [row.split() for row in
+            (tmp_path / "history.txt").read_text().splitlines()[2:] if row]
+    assert printed == [f"epoch {e} loss {l} acc {a}" for e, l, a in rows]
+    assert len(printed) == 2
 
 
 def test_eval_missing_checkpoint_diagnostic(tmp_path, capsys):

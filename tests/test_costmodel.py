@@ -356,6 +356,18 @@ def test_parse_arch_errors_name_the_line():
                "block plain cin=1 cout=4 k=3 stride=1 op=depthwise\n")
     with pytest.raises(ArchError, match="expand"):
         cm.parse_arch(missing)
+    head = "width=1.0\ninput=1x8x8\n"
+    block = "block plain cin=1 cout=4 k=3 stride=1 expand=1 op=depthwise"
+    for text, match in [
+        ("width=1.0\nwidth=2.0\ninput=1x8x8\n", "line 2: duplicate header 'width'"),
+        (head + block + " pad=1\n", "line 3: unexpected block field 'pad=1'"),
+        (head + block + " k=5\n", "line 3: duplicate block field 'k'"),
+        (head + block.replace("k=3", "k=three") + "\n",
+         "line 3: k must be an integer, got 'three'"),
+        ("width=wide\ninput=1x8x8\n", "line 1: width must be a number, got 'wide'"),
+    ]:
+        with pytest.raises(ArchError, match=match):
+            cm.parse_arch(text)
 
 
 def test_parse_arch_requires_width_and_input():
@@ -363,6 +375,8 @@ def test_parse_arch_requires_width_and_input():
         cm.parse_arch("input=1x8x8\n")
     with pytest.raises(ArchError, match="input"):
         cm.parse_arch("width=1.0\n")
+    with pytest.raises(ArchError, match="architecture has no blocks"):
+        cm.network_cost(cm.parse_arch("width=1.0\ninput=1x8x8\n"))
 
 
 def test_parse_arch_rejects_unknown_block_kind():

@@ -31,7 +31,7 @@ def test_subseed_streams_independent():
     assert np.array_equal(a, c)
 
 
-# --- assignments -------------------------------------------------------------
+# --- class placement ---------------------------------------------------------
 
 def test_default_assignments_interior_first():
     pairs = data.default_assignments(grid=4, classes=8)
@@ -75,11 +75,10 @@ def test_determinism():
 
 
 def test_noiseless_two_classes_differ_in_one_cell():
-    spec = small_spec(
-        grid=2, h=8, w=8, classes=2, n_train=8, n_test=4,
-        assignments=(((0, 0), "h"), ((0, 0), "v")))
+    # on a 2x2 grid classes 0 and 4 are the "h" and "v" stripes of cell (0, 0)
+    spec = small_spec(grid=2, h=8, w=8, classes=5, n_train=10, n_test=4)
     ds = data.gen_layout_dataset(spec)
-    by_class = [ds.train_x[ds.train_y == c] for c in (0, 1)]
+    by_class = [ds.train_x[ds.train_y == c] for c in (0, 4)]
     for imgs in by_class:
         for img in imgs[1:]:
             assert np.array_equal(img, imgs[0])
@@ -101,8 +100,7 @@ def test_noiseless_layout_shared_across_splits():
 def test_stripe_structure():
     # class 0 of the default assignment puts "h" stripes in cell (1,1);
     # subtracting each cell's mean must leave +/-amp rows there, 0 elsewhere
-    spec = small_spec(grid=4, h=32, w=32, classes=8, n_train=8, n_test=1,
-                      assignments=None)
+    spec = small_spec(grid=4, h=32, w=32, classes=8, n_train=8, n_test=1)
     ds = data.gen_layout_dataset(spec)
     img = ds.train_x[ds.train_y == 0][0][0]
     resid = img.copy()
@@ -121,10 +119,10 @@ def test_stripe_structure():
 
 
 def test_diagonal_stripes():
-    spec = small_spec(grid=2, h=8, w=8, classes=2, n_train=4, n_test=1,
-                      assignments=(((0, 0), "d1"), ((0, 1), "d2")))
+    # on a 2x2 grid class 8 is the "d1" stripe of cell (0, 0)
+    spec = small_spec(grid=2, h=8, w=8, classes=16, n_train=16, n_test=1)
     ds = data.gen_layout_dataset(spec)
-    img0 = ds.train_x[ds.train_y == 0][0][0]
+    img0 = ds.train_x[ds.train_y == 8][0][0]
     cell = img0[:4, :4] - img0[:4, :4].mean()
     r, c = np.meshgrid(np.arange(4), np.arange(4), indexing="ij")
     expect = np.where((r + c) % 4 < 2, 1.0, -1.0) * data.PATTERN_AMPLITUDE
@@ -278,14 +276,31 @@ def test_load_rejects_non_integer_label(tmp_path):
 
 
 def test_load_validates_meta(tmp_path):
-    # an empty test split used to load, then divide by zero in evaluation
     data.save_dataset(data.gen_layout_dataset(small_spec(n_train=12, n_test=4)),
                       tmp_path)
     meta = tmp_path / "meta.txt"
-    meta.write_text(meta.read_text().replace("n_train=12", "n_train=16")
+    good = meta.read_text()
+    # an empty test split used to load, then divide by zero in evaluation
+    meta.write_text(good.replace("n_train=12", "n_train=16")
                     .replace("n_test=4", "n_test=0"))
     with pytest.raises(ValueError, match=r"meta\.txt: n_test must be >= 1, got 0"):
         data.load_dataset(tmp_path)
+    meta.write_text(good.replace("grid=4", "grid=four"))
+    with pytest.raises(ValueError, match=r"meta\.txt: key 'grid': cannot parse 'four'"):
+        data.load_dataset(tmp_path)
+
+
+def test_load_ignores_an_old_assignments_line(tmp_path):
+    # meta.txt files written while the class placement was a spec field
+    # carry an `assignments=default` line
+    ds = data.gen_layout_dataset(small_spec())
+    data.save_dataset(ds, tmp_path)
+    meta = tmp_path / "meta.txt"
+    meta.write_text(meta.read_text().replace("classes=4\n",
+                                             "classes=4\nassignments=default\n"))
+    back = data.load_dataset(tmp_path)
+    assert back.spec == ds.spec
+    assert np.array_equal(back.train_x, ds.train_x)
 
 
 def test_load_rejects_image_shape_mismatch(tmp_path):

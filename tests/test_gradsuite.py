@@ -6,7 +6,6 @@ import pytest
 
 from tvconv import autograd as ag
 from tvconv import gradsuite, models
-from tvconv.autograd import registered_ops
 from tvconv.gradsuite import GENERATORS, run_suite
 from tvconv.operator import GeneratorParams, generator_field
 
@@ -14,7 +13,7 @@ from tvconv.operator import GeneratorParams, generator_field
 def test_every_registered_op_has_a_generator():
     # Both ways: a generator cannot outlive its op. `tvconv_layer` checks the
     # whole operator, not one op.
-    ops = set(registered_ops())
+    ops = set(ag._RULES) - {"leaf"}
     assert ops - set(GENERATORS) == set()
     assert set(GENERATORS) - {"tvconv_layer"} - ops == set()
 
@@ -75,6 +74,14 @@ def test_zero_instances_rejected():
         run_suite(instances=0)
 
 
+def test_nan_error_fails_the_op(monkeypatch):
+    # a nan error fails its op, although max(0.0, nan) is 0.0
+    monkeypatch.setattr(gradsuite, "finite_diff_grad",
+                        lambda f, x, eps: np.full(np.shape(x), np.nan))
+    result = gradsuite.check_op("sum", np.random.default_rng(0), instances=2)
+    assert np.isnan(result.max_rel_err) and not result.passed
+
+
 def test_fused_relu_inputs_are_checked_for_kinks():
     # A ReLU fused into a layer norm leaves no `relu` node on the tape; the
     # kink check rebuilds what it clamps from the norm's saved moments, and
@@ -88,11 +95,11 @@ def test_fused_relu_inputs_are_checked_for_kinks():
     assert len(fused) == gen.depth and not any(n.op == "relu" for n in tape)
     x, res = (ag.leaf(rng.standard_normal((2, 3, 5, 4))) for _ in range(2))
     fused.append(ag.layer_norm(x, ag.leaf(rng.uniform(0.5, 1.5, 3)),
-                               ag.leaf(rng.standard_normal(3)), gen.eps, relu=True,
+                               ag.leaf(rng.standard_normal(3)), relu=True,
                                residual=res, stride=2))
     for n in fused:
         x, gamma, beta, *res = n.parents
-        linear = ag.layer_norm(x, gamma, beta, gen.eps, residual=res[0] if res else None,
+        linear = ag.layer_norm(x, gamma, beta, residual=res[0] if res else None,
                                stride=n.saved["stride"]).value
         np.testing.assert_allclose(gradsuite._relu_input(n), linear, rtol=0, atol=1e-14)
         assert np.array_equal(n.value, np.maximum(linear, 0))

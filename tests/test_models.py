@@ -208,7 +208,7 @@ def test_tape_generator_matches_operator_module():
     fields = m.weight_fields()
     for name, gen in m.tv_layers.items():
         aff = m.params[f"{name}.aff"]
-        layer = operator.TVConvLayer(aff, gen, *aff.shape[1:])
+        layer = operator.TVConvLayer(aff, gen)
         assert np.array_equal(fields[name], layer.weights())
 
 
@@ -558,7 +558,7 @@ def test_on_disk_manifests_pinned(tmp_path):
     data.save_dataset(data.gen_layout_dataset(data.LayoutDatasetSpec()),
                       tmp_path / "d")
     assert (tmp_path / "d" / "meta.txt").read_text() == (
-        "channels=1\nh=32\nw=32\ngrid=4\nclasses=8\nassignments=default\n"
+        "channels=1\nh=32\nw=32\ngrid=4\nclasses=8\n"
         "bg_amplitude=1.3\nnoise_std=0.05\nn_train=200\nn_test=200\nseed=0\n")
 
 

@@ -246,6 +246,13 @@ class TestLayerCache:
             got = layer.infer_cached(x)
             assert np.array_equal(got.data, e.data)
 
+    @pytest.mark.parametrize("shape", [(3, 5, 5), (2, 5), (1, 2, 5, 5)],
+                             ids=["channels", "two_axes", "four_axes"])
+    def test_mis_shaped_affinity_rejected(self, shape):
+        gen = self.make_layer().gen
+        with pytest.raises(ValueError, match=r"affinity shape .* does not match \[2, h, w\]"):
+            TVConvLayer(np.ones(shape), gen)
+
     def test_freeze_twice_rejected(self):
         layer = self.make_layer()
         layer.freeze()
@@ -344,9 +351,9 @@ class TestLayerCache:
 class TestAffinityInit:
     def test_layer_create_fills_constant(self):
         layer = TVConvLayer.create(channels=2, h=4, w=5, affinity_channels=3, depth=0,
-                                   affinity_value=0.5, seed=0)
+                                   seed=0)
         assert layer.affinity.shape == (3, 4, 5)
-        np.testing.assert_array_equal(layer.affinity, 0.5)
+        np.testing.assert_array_equal(layer.affinity, 1.0)
 
     def test_from_stats_two_image_case(self):
         imgs = np.stack([np.zeros((1, 4, 4)), np.full((1, 4, 4), 2.0)])

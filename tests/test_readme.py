@@ -1,6 +1,7 @@
 """The README's examples name only what the package has: the quickstart's
 imports, the command line block's commands and the train.cfg example's
-keys are read out of README.md and looked up in the code."""
+keys are read out of README.md and looked up in the code. Its package
+layout table has a row for every module."""
 
 import ast
 import re
@@ -40,3 +41,11 @@ def test_train_cfg_example_keys_are_known():
             if line.strip() and not line.lstrip().startswith("#")]
     assert keys
     assert set(keys) - cli.KNOWN_KEYS["train"] == set()
+
+
+def test_package_layout_has_a_row_per_module():
+    body = README.split("\n## Package layout\n", 1)[1].split("\n## ", 1)[0]
+    listed = {name for row in re.findall(r"^\| ([^|]*) \|", body, re.M)
+              for name in re.findall(r"`tvconv\.(\w+)`", row)}
+    modules = {p.stem for p in Path(tvconv.__file__).parent.glob("*.py")}
+    assert listed == modules - {"__init__", "__main__"}

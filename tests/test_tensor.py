@@ -121,6 +121,13 @@ class TestTvtensorFormat:
         with pytest.raises(FormatError, match="dtype"):
             tensor_from_bytes(bytes(good))
 
+    def test_truncated_header_and_dims_rejected(self):
+        good = tensor_to_bytes(Tensor(np.zeros((2, 3))))
+        with pytest.raises(FormatError, match="header truncated: 9 bytes"):
+            tensor_from_bytes(good[:9])
+        with pytest.raises(FormatError, match="dims truncated"):
+            tensor_from_bytes(good[:15])
+
     def test_zero_rank_rejected(self):
         raw = b"TVTENSOR" + struct.pack("<BB", 1, 0)
         with pytest.raises(FormatError):

@@ -94,6 +94,10 @@ def test_config_validation():
         TrainConfig(momentum=1.0)
     with pytest.raises(ValueError, match="divisor"):
         TrainConfig(lr_drops=((5, 0.0),))
+    with pytest.raises(ValueError, match="batch_size >= 1"):
+        TrainConfig(batch_size=0)
+    with pytest.raises(ValueError, match="augment_translate must be >= 0"):
+        TrainConfig(augment_translate=-1)
     TrainConfig(lr=0.0)  # allowed: freezes parameters, used as a no-op probe
 
 
@@ -185,6 +189,9 @@ def test_bad_splits_are_rejected():
         short = replace(ds, **{f"{split}_y": getattr(ds, f"{split}_y")[:5]})
         with pytest.raises(ValueError, match=f"{split}\\w* split has 8 images but 5 labels"):
             training.train(m, short, cfg())
+    empty = replace(ds, train_x=ds.train_x[:0], train_y=ds.train_y[:0])
+    with pytest.raises(TrainingError, match="training split is empty"):
+        training.train(m, empty, cfg())
     ds.test_x[5, 0, 3, 3] = np.inf   # named by its index in the split
     with pytest.raises(ValueError, match="image 5 has a non-finite value"):
         training.evaluate(m, ds.test_x, ds.test_y)
