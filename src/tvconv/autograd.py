@@ -9,8 +9,10 @@ gradient map for parameter leaves. Backward rules are looked up in a registry
 keyed by op name so an unknown op on the tape is a hard error rather than a
 silent zero.
 
-Layer norm is the one op with an epilogue (`layer_norm`'s residual, ReLU
-and stride), so the tape has no separate add, ReLU or subsample op.
+The tape holds only the ops the desk models run, and nothing else: layer
+norm is the one op with an epilogue (`layer_norm`'s residual, ReLU and
+stride), so there is no separate add, ReLU or subsample op. The gradient
+checker lives in `gradsuite`, which forms its losses from these same ops.
 
 Batched layouts are [n, c, h, w] throughout.
 """
@@ -18,7 +20,6 @@ Batched layouts are [n, c, h, w] throughout.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -123,12 +124,12 @@ def _tvconv_bwd(n, g):
 
 def layer_norm(x: Node, gamma: Node, beta: Node, relu: bool = False,
                residual: Node | None = None, stride: int = 1) -> Node:
-    """Layer norm (epsilon 1e-5) and its epilogue as one node: after the
+    """Layer norm (`kernels.LN_EPS`) and its epilogue as one node: after the
     affine, add `residual`, then the ReLU with `relu`, then keep every
     `stride`-th row and column. The residual is a fourth parent."""
     res = None if residual is None else residual.value
-    y, mean, inv_std = kernels.layer_norm_fwd(x.value, gamma.value, beta.value, 1e-5,
-                                              relu=relu, residual=res, stride=stride)
+    y, mean, inv_std = kernels.layer_norm_fwd(x.value, gamma.value, beta.value, relu=relu,
+                                              residual=res, stride=stride)
     parents = (x, gamma, beta) if residual is None else (x, gamma, beta, residual)
     return Node("layer_norm", y, parents,
                 {"mean": mean, "inv_std": inv_std, "relu": relu, "stride": stride})
@@ -183,26 +184,6 @@ def reshape(x: Node, shape) -> Node:
 @_rule("reshape")
 def _reshape_bwd(n, g):
     return (g.reshape(n.parents[0].value.shape),)
-
-
-def mul_const(x: Node, arr) -> Node:
-    """Elementwise multiply by a fixed array (no gradient for the array)."""
-    arr = np.asarray(arr)
-    return Node("mul_const", x.value * arr, (x,), {"arr": arr})
-
-
-@_rule("mul_const")
-def _mul_const_bwd(n, g):
-    return (g * n.saved["arr"],)
-
-
-def ssum(x: Node) -> Node:
-    return Node("sum", np.asarray(x.value.sum()), (x,))
-
-
-@_rule("sum")
-def _sum_bwd(n, g):
-    return (np.broadcast_to(g, n.parents[0].value.shape).copy(),)
 
 
 def softmax_xent(logits: Node, labels) -> Node:
@@ -278,46 +259,3 @@ def backward(loss: Node) -> dict[Node, np.ndarray]:
                 parent.grad = parent.grad + pg
     return {n: n.grad for n in order if n.is_param and n.grad is not None}
 
-
-# ------------------------------------------------- numeric checking
-
-
-def finite_diff_grad(f, x, eps: float = 1e-6):
-    """Central differences: (f(x+eps*e_i) - f(x-eps*e_i)) / (2*eps).
-
-    f maps an array shaped like x to a scalar.
-    """
-    base = np.asarray(x, dtype=np.float64)
-    grad = np.zeros_like(base)
-    it = np.nditer(base, flags=["multi_index"])
-    for _ in it:
-        idx = it.multi_index
-        hi = base.copy()
-        hi[idx] += eps
-        lo = base.copy()
-        lo[idx] -= eps
-        grad[idx] = (f(hi) - f(lo)) / (2 * eps)
-    return grad
-
-
-@dataclass
-class GradReport:
-    max_abs_err: float
-    max_rel_err: float
-    count: int
-    tol: float
-    passed: bool
-
-
-def grad_check(analytic, numeric, tol: float = 1e-5) -> GradReport:
-    """Elementwise relative error |a-n| / max(|a|, |n|, 1e-8) against tol."""
-    a = np.asarray(analytic, dtype=np.float64)
-    n = np.asarray(numeric, dtype=np.float64)
-    if a.shape != n.shape:
-        raise ValueError(f"gradient shape mismatch: {a.shape} vs {n.shape}")
-    abs_err = np.abs(a - n)
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-8)
-    rel = abs_err / denom
-    max_rel = float(rel.max()) if rel.size else 0.0
-    max_abs = float(abs_err.max()) if abs_err.size else 0.0
-    return GradReport(max_abs, max_rel, int(a.size), tol, max_rel < tol)

@@ -51,6 +51,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 L2_BYTES = 2 << 20  # one core's L2; a `tvconv` channel block's slice of the field fits it
+LN_EPS = 1e-5       # added to every layer norm's variance
 
 
 def pad_same(x: np.ndarray, k: int) -> np.ndarray:
@@ -200,8 +201,8 @@ def tvconv_dw(g: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
     return dw
 
 
-def layer_norm_fwd(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float,
-                   relu: bool = False, residual: np.ndarray | None = None, stride: int = 1):
+def layer_norm_fwd(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, relu: bool = False,
+                   residual: np.ndarray | None = None, stride: int = 1):
     """Per-sample normalization over (c,h,w) and a per-channel affine, then
     the epilogue: add `residual` (x's shape), apply the ReLU with `relu`, and
     keep every `stride`-th row and column.
@@ -224,7 +225,7 @@ def layer_norm_fwd(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: floa
     y = x - mean
     flat = y.reshape(len(x), -1)
     var = np.einsum("ij,ij->i", flat, flat)[:, None, None, None] / m
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + LN_EPS)
     scale = inv_std * gamma[:, None, None]
     if stride > 1:
         y = np.multiply(y[:, :, ::stride, ::stride], scale)

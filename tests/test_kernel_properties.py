@@ -189,12 +189,12 @@ LN_DIMS = dict(n=DIMS["n"], c=DIMS["ci"], h=DIMS["h"], w=DIMS["w"],
 @example(n=2, c=4, h=3, w=3, dtype=np.float32, seed=9, relu=True)
 def test_layer_norm_fwd_matches_two_pass(n, c, h, w, dtype, seed, relu):
     x, gamma, beta, _ = ln_arrays(n, c, h, w, dtype, seed)
-    got = kernels.layer_norm_fwd(x, gamma, beta, 1e-5, relu=relu)
+    got = kernels.layer_norm_fwd(x, gamma, beta, relu=relu)
     want = ln_ref(x, gamma, beta, 1e-5)
     if relu:
         want = (np.maximum(want[0], 0),) + want[1:]
         # The fused ReLU clamps the unfused output in place: the same bits.
-        unfused = kernels.layer_norm_fwd(x, gamma, beta, 1e-5)
+        unfused = kernels.layer_norm_fwd(x, gamma, beta)
         assert np.array_equal(got[0], np.maximum(unfused[0], 0))
         for a, b in zip(got[1:], unfused[1:]):
             assert np.array_equal(a, b)
@@ -211,7 +211,7 @@ def test_layer_norm_fwd_matches_two_pass(n, c, h, w, dtype, seed, relu):
 @example(n=3, c=3, h=2, w=5, dtype=np.float32, seed=11, relu=True)
 def test_layer_norm_bwd_matches_two_pass(n, c, h, w, dtype, seed, relu):
     x, gamma, beta, g = ln_arrays(n, c, h, w, dtype, seed)
-    y, mean, inv_std = kernels.layer_norm_fwd(x, gamma, beta, 1e-5, relu=relu)
+    y, mean, inv_std = kernels.layer_norm_fwd(x, gamma, beta, relu=relu)
     g_before = g.copy()
     got = kernels.layer_norm_bwd(g, x, mean, inv_std, gamma, y if relu else None)
     assert np.array_equal(g, g_before)

@@ -110,7 +110,7 @@ class TestGenerate:
 
             a = aff[None]
             for hl in gen.hidden:
-                a = kernels.layer_norm_fwd(kernels.conv(a, hl.w), hl.gamma, hl.beta, 1e-5)[0]
+                a = kernels.layer_norm_fwd(kernels.conv(a, hl.w), hl.gamma, hl.beta)[0]
                 a = np.maximum(a, 0.0)
             ref = kernels.conv(a, gen.w_out)[0]
             assert wf.shape == (2, 3, 3, 6, 7)

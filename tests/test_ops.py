@@ -19,8 +19,8 @@ def conv2d(x, w):
     return kernels.conv(x[None], w)[0]
 
 
-def layer_norm(x, gamma, beta, eps=1e-5):
-    return kernels.layer_norm_fwd(x[None], gamma, beta, eps)[0][0]
+def layer_norm(x, gamma, beta):
+    return kernels.layer_norm_fwd(x[None], gamma, beta)[0][0]
 
 
 def downsample_mean(x, oh, ow):
@@ -162,7 +162,7 @@ class TestLayerNorm:
             x = rng.standard_normal((c, h, w)) * 3 + 1
             gamma = rng.standard_normal(c)
             beta = rng.standard_normal(c)
-            got = layer_norm(x, gamma, beta, eps=1e-5)
+            got = layer_norm(x, gamma, beta)
             np.testing.assert_allclose(got, ln_oracle(x, gamma, beta, 1e-5), atol=1e-12)
 
     def test_normalizes_over_whole_sample(self):

@@ -2,6 +2,8 @@
 values, the affinity weight-decay exemption by parameter-wise diff, loop
 determinism, the lr=0 no-op, a separable sanity task, and the NaN abort."""
 
+import hashlib
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -273,3 +275,42 @@ def test_augmentation_deterministic_and_effective():
     c = training.train(toy_model(), ds, cfg(epochs=2, lr=0.05)).history
     assert a == b
     assert a != c
+
+
+# --- bit identity of the desk recipe -------------------------------------------
+
+def desk_digest(op: str) -> str:
+    """sha256 over a 4-epoch desk training: the history, the final parameters,
+    eager and frozen `predict` logits on the test split, and the frozen fields."""
+    ds = data.gen_layout_dataset(LayoutDatasetSpec(seed=0))
+    m = LayoutModel.create(models.default_model_spec(op), seed=0)
+    digest = hashlib.sha256(repr(training.train(m, ds, TrainConfig(seed=0, epochs=4)).history)
+                            .encode())
+    for name, arr in m.params.items():
+        digest.update(name.encode() + arr.tobytes())
+    digest.update(m.predict(ds.test_x).tobytes())
+    m.freeze()
+    digest.update(m.predict(ds.test_x).tobytes())
+    for name, field in m.weight_fields().items():
+        digest.update(name.encode() + field.tobytes())
+    return digest.hexdigest()
+
+
+DESK_DIGESTS = {
+    "depthwise": "5d658061a870cfb36ec6d1eef0c01c9d3d6f1860b4fee4109d43f8a91cff022d",
+    "tvconv": "a08b04cf483be21260b6669545f98b07542d4671bab74a1b510fc7799aee66fb",
+}
+
+
+@pytest.mark.parametrize("op", models.OPERATORS)
+def test_desk_training_bits_pinned(op):
+    # Any change to a kernel's arithmetic order, the tape, SGD or the data
+    # moves this digest. BLAS's summation order depends on its build and
+    # thread count, so a mismatch names the host it ran on.
+    got, pinned = desk_digest(op), DESK_DIGESTS[op]
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    assert got == pinned, (
+        f"{op} desk training digest {got} != pinned {pinned} on numpy {np.__version__}, "
+        f"BLAS {blas.get('name', '?')} {blas.get('version', '?')}, "
+        f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS')}, "
+        f"cpu_count={os.cpu_count()}")
