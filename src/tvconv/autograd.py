@@ -11,8 +11,10 @@ silent zero.
 
 The tape holds only the ops the desk models run, and nothing else: layer
 norm is the one op with an epilogue (`layer_norm`'s residual, ReLU and
-stride), so there is no separate add, ReLU or subsample op. The gradient
-checker lives in `gradsuite`, which forms its losses from these same ops.
+stride), so there is no separate add, ReLU or subsample op. Each rule is one
+or two kernel calls; the norm's epilogue and how its backward undoes it are
+described once, in `kernels`. The gradient checker lives in `gradsuite`,
+which forms its losses from these same ops.
 
 Batched layouts are [n, c, h, w] throughout.
 """
@@ -90,17 +92,17 @@ def _rule(name):
 
 
 def dwconv(x: Node, w: Node) -> Node:
-    return Node("dwconv", kernels.dwconv(x.value, w.value), (x, w), {"k": w.value.shape[-1]})
+    return Node("dwconv", kernels.dwconv(x.value, w.value), (x, w))
 
 
 @_rule("dwconv")
 def _dwconv_bwd(n, g):
     x, w = n.parents
-    return kernels.dwconv_dx(g, w.value), kernels.dwconv_dw(g, x.value, n.saved["k"])
+    return kernels.dwconv_dx(g, w.value), kernels.dwconv_dw(g, x.value, w.value.shape[-1])
 
 
 def conv(x: Node, w: Node) -> Node:
-    return Node("conv", kernels.conv(x.value, w.value), (x, w), {"k": w.value.shape[-1]})
+    return Node("conv", kernels.conv(x.value, w.value), (x, w))
 
 
 @_rule("conv")
@@ -108,7 +110,7 @@ def _conv_bwd(n, g):
     x, w = n.parents
     # A non-parameter leaf input (the image) has no use for its gradient.
     dx = None if x.op == "leaf" and not x.is_param else kernels.conv_dx(g, w.value)
-    return dx, kernels.conv_dw(g, x.value, n.saved["k"])
+    return dx, kernels.conv_dw(g, x.value, w.value.shape[-1])
 
 
 def tvconv(x: Node, wf: Node) -> Node:
@@ -124,9 +126,9 @@ def _tvconv_bwd(n, g):
 
 def layer_norm(x: Node, gamma: Node, beta: Node, relu: bool = False,
                residual: Node | None = None, stride: int = 1) -> Node:
-    """Layer norm (`kernels.LN_EPS`) and its epilogue as one node: after the
-    affine, add `residual`, then the ReLU with `relu`, then keep every
-    `stride`-th row and column. The residual is a fourth parent."""
+    """Layer norm (`kernels.LN_EPS`) and its epilogue as one node, run by
+    `kernels.layer_norm_fwd` and undone by `kernels.layer_norm_bwd`, which
+    own its order. The residual is a fourth parent."""
     res = None if residual is None else residual.value
     y, mean, inv_std = kernels.layer_norm_fwd(x.value, gamma.value, beta.value, relu=relu,
                                               residual=res, stride=stride)
@@ -137,23 +139,11 @@ def layer_norm(x: Node, gamma: Node, beta: Node, relu: bool = False,
 
 @_rule("layer_norm")
 def _layer_norm_bwd(n, g):
-    x, gamma = n.parents[0].value, n.parents[1].value
-    s = n.saved["stride"]
-    y = n.value if n.saved["relu"] else None
-    if s > 1 or len(n.parents) == 4:
-        # The gradient at the residual add is also the residual's, so the rule
-        # masks it by the ReLU itself, then scatters the kept positions into
-        # zeros; those zeros are +0.0, which the mask keeps, so masking first
-        # gives the same bits.
-        if y is not None:
-            g = g * (y > 0)
-        if s > 1:
-            full = np.zeros_like(x)
-            full[:, :, ::s, ::s] = g
-            g = full
-        y = None
-    grads = kernels.layer_norm_bwd(g, x, n.saved["mean"], n.saved["inv_std"], gamma, y)
-    return grads + (g,) if len(n.parents) == 4 else grads
+    # Without a residual, the kernel's fourth gradient is None and zip drops it.
+    s = n.saved
+    return kernels.layer_norm_bwd(g, n.parents[0].value, n.value, s["mean"], s["inv_std"],
+                                  n.parents[1].value, relu=s["relu"],
+                                  residual=len(n.parents) == 4, stride=s["stride"])
 
 
 def linear(x: Node, w: Node, b: Node) -> Node:

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autograd as ag
+from . import kernels
 from .autograd import backward
 from .operator import GeneratorParams, generator_field
 
@@ -180,15 +181,11 @@ def _well_conditioned(grads, floor=1e-3):
 
 
 def _relu_input(n: ag.Node) -> np.ndarray:
-    """What the ReLU fused into a layer norm node clamps: its affine plus any
-    residual, at the positions its stride keeps."""
+    """What the ReLU fused into a layer norm node clamps: the node's forward
+    run again without it, so the same bits."""
     x, gamma, beta, *residual = (p.value for p in n.parents)
-    s = n.saved["stride"]
-    xhat = (x - n.saved["mean"]) * n.saved["inv_std"]
-    pre = xhat * gamma[:, None, None] + beta[:, None, None]
-    if residual:
-        pre += residual[0]
-    return pre[:, :, ::s, ::s]
+    return kernels.layer_norm_fwd(x, gamma, beta, residual=residual[0] if residual else None,
+                                  stride=n.saved["stride"])[0]
 
 
 def finite_diff_grad(f, x, eps: float = 1e-6):

@@ -36,13 +36,18 @@ so on the stack it gives other bits at n = 1.
 
 Layer norm returns only its per-sample moments next to its output, and the
 tape saves those two [n,1,1,1] arrays, not the normalized activation; the
-backward rule rebuilds x-hat from the input, which the tape already holds.
-After the affine it runs an epilogue on the fresh output, in this order: add
-a residual, clamp with `relu`, and keep every `stride`-th row and column. The
-moments cover the whole input, the other passes only the kept positions, so
-a norm, the skip add after it, the ReLU and the next block's entry stride
-are one op with one output array of the size the next op reads. The
-backward masks the incoming gradient by that output.
+backward rebuilds x-hat from the input, which the tape already holds. After
+the affine, `layer_norm_fwd` runs an epilogue on the fresh output, in this
+order: add a residual, clamp with `relu`, and keep every `stride`-th row and
+column. The moments cover the whole input, the other passes only the kept
+positions, so a norm, the skip add after it, the ReLU and the next block's
+entry stride are one op with one output array of the size the next op reads.
+`layer_norm_bwd` takes the same epilogue arguments and is the one place that
+undoes it, in reverse: it masks g where the output y is positive, then
+scatters the kept positions into zeros of x's shape (+0.0, which the mask
+keeps, so masking first gives the same bits), and that g is the residual's
+gradient. It writes the input gradient into g only when it allocated that g
+itself and does not return it as the residual's gradient.
 """
 
 from __future__ import annotations
@@ -239,17 +244,23 @@ def layer_norm_fwd(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, relu: boo
     return y, mean, inv_std
 
 
-def layer_norm_bwd(g, x, mean, inv_std, gamma, y=None):
-    """Gradients (dx, dgamma, dbeta); pass the fused forward's output as `y`
-    to mask `g` by its ReLU first. `g` is never written.
+def layer_norm_bwd(g, x, y, mean, inv_std, gamma, relu=False, residual=False, stride=1):
+    """Gradients (dx, dgamma, dbeta, dresidual) of `layer_norm_fwd` with the
+    same epilogue arguments; y is its output and dresidual is None without a
+    residual. `g` is never written.
 
     Everything reduces through the per-(sample, channel) sums S1 = sum g and
     S2 = sum g * x-hat, the latter one batched matmul against x - mean times
     inv_std: dbeta and dgamma sum them over the batch, and the per-sample
     correction is their product with gamma.
     """
-    if y is not None:
+    own = relu or stride > 1  # g is an array of this call's own
+    if relu:
         g = np.multiply(g, y > 0)  # y > 0 exactly where the norm's output was
+    if stride > 1:
+        full = np.zeros_like(x)
+        full[:, :, ::stride, ::stride] = g
+        g = full
     n, c = g.shape[:2]
     m = g[0].size
     xc = x - mean
@@ -257,11 +268,11 @@ def layer_norm_bwd(g, x, mean, inv_std, gamma, y=None):
     s1 = np.add.reduce(g3, axis=2)
     s2 = np.matmul(g3[:, :, None, :], xc.reshape(n, c, -1, 1))[:, :, 0, 0] * inv_std[:, :, 0, 0]
     scale = inv_std * gamma[:, None, None]
-    dx = np.multiply(g, scale, out=g) if y is not None else g * scale  # the mask is a copy
+    dx = np.multiply(g, scale, out=g) if own and not residual else g * scale
     xc *= inv_std * inv_std * (s2 @ gamma)[:, None, None, None] / m
     xc += inv_std * (s1 @ gamma)[:, None, None, None] / m
     dx -= xc
-    return dx, s2.sum(axis=0), s1.sum(axis=0)
+    return dx, s2.sum(axis=0), s1.sum(axis=0), g if residual else None
 
 
 def downsample_mean(x: np.ndarray, oh: int, ow: int) -> np.ndarray:

@@ -92,8 +92,8 @@ def test_nan_error_fails_the_op(monkeypatch):
 
 def test_fused_relu_inputs_are_checked_for_kinks():
     # A ReLU fused into a layer norm leaves no `relu` node on the tape; the
-    # kink check rebuilds what it clamps from the norm's saved moments, and
-    # from its residual and stride, which it applies as the norm does.
+    # kink check reruns the norm's forward, residual and stride included,
+    # without the ReLU, so it sees the exact values the ReLU clamps.
     gen = GeneratorParams.create(2, 3, affinity_channels=2, depth=2, width=3, seed=0)
     nodes = {name: ag.leaf(arr) for name, arr in gen.arrays()}
     rng = np.random.default_rng(0)
@@ -109,5 +109,5 @@ def test_fused_relu_inputs_are_checked_for_kinks():
         x, gamma, beta, *res = n.parents
         linear = ag.layer_norm(x, gamma, beta, residual=res[0] if res else None,
                                stride=n.saved["stride"]).value
-        np.testing.assert_allclose(gradsuite._relu_input(n), linear, rtol=0, atol=1e-14)
+        assert np.array_equal(gradsuite._relu_input(n), linear)
         assert np.array_equal(n.value, np.maximum(linear, 0))

@@ -9,11 +9,13 @@ they replaced are kept here as references, and the kernels must match them
 bit for bit, signed zeros included. The references here compute every output
 position as an explicit window sum (or scatter, for the input gradient) and
 the moments in two passes per sample. The ReLU that a layer norm can fuse
-must give the unfused output clamped, bit for bit, and mask the gradient
-where that output is positive. Shapes, kernel sizes and dtypes are
-drawn; the cases a shifted-window layout is most likely to get wrong (1×N and
-N×1 maps, k = 5 wider than the map, ci ≠ co, batch > 1, float32) are pinned
-as explicit examples.
+must give the unfused output clamped, bit for bit. The backward, given the
+forward's epilogue, masks the gradient where that output is positive, puts a
+stride's kept positions back into zeros, hands that gradient to the residual
+bit for bit, and never writes the gradient it is given. Shapes, kernel
+sizes and dtypes are drawn; the cases a shifted-window layout is most likely
+to get wrong (1×N and N×1 maps, k = 5 wider than the map, ci ≠ co, batch > 1,
+float32) are pinned as explicit examples.
 """
 
 import numpy as np
@@ -204,22 +206,37 @@ def test_layer_norm_fwd_matches_two_pass(n, c, h, w, dtype, seed, relu):
 
 
 @SETTINGS
-@given(**LN_DIMS, relu=st.booleans())
-@example(n=2, c=3, h=1, w=6, dtype=np.float64, seed=7, relu=False)
-@example(n=3, c=2, h=6, w=1, dtype=np.float32, seed=8, relu=False)
-@example(n=2, c=4, h=3, w=3, dtype=np.float64, seed=10, relu=True)
-@example(n=3, c=3, h=2, w=5, dtype=np.float32, seed=11, relu=True)
-def test_layer_norm_bwd_matches_two_pass(n, c, h, w, dtype, seed, relu):
+@given(**LN_DIMS, relu=st.booleans(), residual=st.booleans(), stride=st.sampled_from([1, 2]))
+@example(n=2, c=3, h=1, w=6, dtype=np.float64, seed=7, relu=False, residual=False, stride=1)
+@example(n=3, c=2, h=6, w=1, dtype=np.float32, seed=8, relu=False, residual=False, stride=1)
+@example(n=2, c=4, h=3, w=3, dtype=np.float64, seed=10, relu=True, residual=False, stride=1)
+@example(n=3, c=3, h=2, w=5, dtype=np.float32, seed=11, relu=True, residual=False, stride=1)
+@example(n=2, c=3, h=5, w=4, dtype=np.float64, seed=12, relu=True, residual=True, stride=2)
+@example(n=1, c=2, h=1, w=5, dtype=np.float32, seed=13, relu=False, residual=True, stride=1)
+@example(n=2, c=2, h=3, w=6, dtype=np.float64, seed=14, relu=False, residual=False, stride=2)
+def test_layer_norm_bwd_matches_two_pass(n, c, h, w, dtype, seed, relu, residual, stride):
     x, gamma, beta, g = ln_arrays(n, c, h, w, dtype, seed)
-    y, mean, inv_std = kernels.layer_norm_fwd(x, gamma, beta, relu=relu)
+    res = (np.random.default_rng(seed + 1).standard_normal(x.shape).astype(dtype)
+           if residual else None)
+    y, mean, inv_std = kernels.layer_norm_fwd(x, gamma, beta, relu=relu, residual=res,
+                                              stride=stride)
+    g = np.ascontiguousarray(g[:, :, ::stride, ::stride])  # the shape of y
     g_before = g.copy()
-    got = kernels.layer_norm_bwd(g, x, mean, inv_std, gamma, y if relu else None)
+    dx, dgamma, dbeta, dres = kernels.layer_norm_bwd(g, x, y, mean, inv_std, gamma, relu=relu,
+                                                     residual=residual, stride=stride)
     assert np.array_equal(g, g_before)
-    # The fused ReLU passes the gradient where its output is positive.
-    g_in = g * (y > 0) if relu else g
+    # The ReLU passes the gradient where its output is positive; the kept
+    # positions go back to their places in zeros of x's shape.
+    g_in = np.zeros_like(x)
+    g_in[:, :, ::stride, ::stride] = g * (y > 0) if relu else g
+    if residual:
+        assert dres.dtype == dtype and dres.shape == x.shape
+        assert dres.tobytes() == g_in.tobytes() and not np.shares_memory(dx, dres)
+    else:
+        assert dres is None
     want = ln_bwd_ref(g_in.astype(np.float64), x.astype(np.float64),
                       gamma.astype(np.float64), 1e-5)
-    for a, b in zip(got, want):
+    for a, b in zip((dx, dgamma, dbeta), want):
         assert a.dtype == dtype
         np.testing.assert_allclose(a, b, rtol=0, atol=tol(dtype))
 

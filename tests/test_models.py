@@ -413,7 +413,7 @@ def test_backward_skips_image_gradient(monkeypatch):
 
     def full_rule(n, g):
         x, w = n.parents
-        return kernels.conv_dx(g, w.value), kernels.conv_dw(g, x.value, n.saved["k"])
+        return kernels.conv_dx(g, w.value), kernels.conv_dw(g, x.value, w.value.shape[-1])
 
     monkeypatch.setitem(ag._RULES, "conv", full_rule)
     full = {n.name: g for n, g in ag.backward(m.loss(x, y)).items()}
