@@ -43,7 +43,6 @@ from .costmodel import (
     mobilenet_v2,
     network_cost,
     op_macs,
-    op_params,
     parse_arch,
 )
 from .data import (
@@ -112,7 +111,6 @@ __all__ = [
     "model_macs",
     "network_cost",
     "op_macs",
-    "op_params",
     "param_count_factorized",
     "param_count_naive",
     "parse_arch",

@@ -9,8 +9,11 @@ Counting conventions:
     network (or once per update during training), so `network_cost` reports
     it separately as `one_time_generation_macs` instead of folding it into
     the per-image total.
-  - Parameter counts include layer-norm scale and offset pairs but no
-    convolution biases (the filter paths are bias-free).
+  - Parameter counts cover conv and classifier weights, affinity maps, and
+    the field generator's hidden-norm scale and offset pairs. They leave out
+    each block's own layer norms and the classifier's bias, so a desk
+    `LayoutModel` holds more values than `total_params` counts. No conv has
+    a bias (the filter paths are bias-free).
 
 Architectures are described by `ArchSpec`, a linear chain of `BlockSpec`s.
 `network_cost` applies the width multiplier (outputs snap to multiples of 8;
@@ -50,10 +53,6 @@ class OpSpec:
     h: int | None = None
     w: int | None = None
     k: int | None = None
-    affinity_channels: int | None = None
-    gen_depth: int | None = None
-    gen_width: int | None = None
-    gen_kernel: int | None = None
 
 
 def _need(spec: OpSpec, *names: str) -> list[int]:
@@ -89,6 +88,8 @@ def generator_params(c: int, k: int, affinity_channels: int,
 
 
 def op_macs(spec: OpSpec) -> int:
+    """MACs of one op on one image, as `chain_cost` and perfbench's kernel
+    trace count them."""
     if spec.kind in ("depthwise", "tvconv_apply"):  # one multiply per tap
         c, h, w, k = _need(spec, "c", "h", "w", "k")
         return c * h * w * k * k
@@ -98,29 +99,6 @@ def op_macs(spec: OpSpec) -> int:
     if spec.kind == "conv":
         ci, co, h, w, k = _need(spec, "c_in", "c_out", "h", "w", "k")
         return ci * co * h * w * k * k
-    if spec.kind == "tvconv_generate":
-        c, h, w, k, ca, d, gw, kg = _need(
-            spec, "c", "h", "w", "k", "affinity_channels",
-            "gen_depth", "gen_width", "gen_kernel")
-        return generator_macs(c, k, h, w, ca, d, gw, kg)
-    raise ValueError(f"unknown op kind '{spec.kind}'")
-
-
-def op_params(spec: OpSpec) -> int:
-    if spec.kind == "depthwise":
-        c, k = _need(spec, "c", "k")
-        return c * k * k
-    if spec.kind == "pointwise":
-        ci, co = _need(spec, "c_in", "c_out")
-        return ci * co
-    if spec.kind == "conv":
-        ci, co, k = _need(spec, "c_in", "c_out", "k")
-        return ci * co * k * k
-    if spec.kind == "tvconv":
-        c, k, h, w, ca, d, gw, kg = _need(
-            spec, "c", "k", "h", "w", "affinity_channels",
-            "gen_depth", "gen_width", "gen_kernel")
-        return ca * h * w + generator_params(c, k, ca, d, gw, kg)
     raise ValueError(f"unknown op kind '{spec.kind}'")
 
 
@@ -241,27 +219,26 @@ def _block_cost(spec: ArchSpec, b: BlockSpec, name: str, h: int,
 
     if b.kind == "plain":
         macs += op_macs(OpSpec("conv", c_in=c_in, c_out=c_out, h=oh, w=ow, k=b.k))
-        params += op_params(OpSpec("conv", c_in=c_in, c_out=c_out, k=b.k))
+        params += c_in * c_out * b.k * b.k
     else:
         hidden = c_in * b.expand
         if b.expand != 1:
             macs += op_macs(OpSpec("pointwise", c_in=c_in, c_out=hidden, h=h, w=w))
-            params += op_params(OpSpec("pointwise", c_in=c_in, c_out=hidden))
+            params += c_in * hidden
             inter = max(inter, hidden * h * w)
         if b.op == "depthwise":
             macs += op_macs(OpSpec("depthwise", c=hidden, h=oh, w=ow, k=b.k))
-            params += op_params(OpSpec("depthwise", c=hidden, k=b.k))
+            params += hidden * b.k * b.k
         else:
-            tv = OpSpec("tvconv", c=hidden, h=oh, w=ow, k=b.k,
-                        affinity_channels=spec.gen_affinity,
-                        gen_depth=spec.gen_depth, gen_width=spec.gen_width,
-                        gen_kernel=spec.gen_kernel)
-            macs += op_macs(replace(tv, kind="tvconv_apply"))
-            params += op_params(tv)
-            gen = op_macs(replace(tv, kind="tvconv_generate"))
+            macs += op_macs(OpSpec("tvconv_apply", c=hidden, h=oh, w=ow, k=b.k))
+            gen_shape = (spec.gen_affinity, spec.gen_depth, spec.gen_width,
+                         spec.gen_kernel)
+            params += (spec.gen_affinity * oh * ow
+                       + generator_params(hidden, b.k, *gen_shape))
+            gen = generator_macs(hidden, b.k, oh, ow, *gen_shape)
         inter = max(inter, hidden * oh * ow)
         macs += op_macs(OpSpec("pointwise", c_in=hidden, c_out=c_out, h=oh, w=ow))
-        params += op_params(OpSpec("pointwise", c_in=hidden, c_out=c_out))
+        params += hidden * c_out
 
     act = c_in * h * w + c_out * oh * ow + inter
     return BlockCost(name, macs, params, oh, ow, act), gen

@@ -128,11 +128,11 @@ def _gen_tvconv_layer(rng):
     width = int(rng.integers(2, 5))
     k_gen = int(rng.choice([1, 3]))
     gen = GeneratorParams.create(
-        c, k, affinity_channels=c_a, depth=depth, width=width, k_gen=k_gen,
+        c, h, w, k, affinity_channels=c_a, depth=depth, width=width, k_gen=k_gen,
         rng=np.random.default_rng(rng.integers(0, 2**31)),
     )
-    params = {"affinity": rng.standard_normal((c_a, h, w)),
-              "x": rng.standard_normal((1, c, h, w))}
+    gen.aff[...] = rng.standard_normal((c_a, h, w))
+    params = {"x": rng.standard_normal((1, c, h, w))}
     for name, arr in gen.arrays():
         if name.endswith(".gamma"):
             arr = rng.uniform(0.5, 1.5, arr.shape)

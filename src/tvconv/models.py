@@ -29,10 +29,11 @@ runs the head once on all the pooled features, so its logits equal
 `forward`'s bit for bit.
 
 Parameters live in one ordered name -> array dict. The arrays are shared
-(never copied) with each per-position block's `GeneratorParams` and with the
-tape leaves, which are bound once at construction, so in-place SGD updates
-keep every view consistent. `create` alone defines that layout; `load_model`
-fills it.
+(never copied) with the tape leaves, which are bound once at construction,
+and with each per-position block's `GeneratorParams`, which holds all of
+that block's arrays, its affinity maps (`{prefix}.aff`) first. So in-place
+SGD updates keep every view consistent. `create` alone defines that layout;
+`load_model` fills it.
 """
 
 from __future__ import annotations
@@ -173,13 +174,11 @@ class LayoutModel:
                 params[f"{p}.dw.w"] = he((c, k, k), k * k)
             else:
                 gen = GeneratorParams.create(
-                    channels=c, k=k, affinity_channels=spec.affinity_channels,
+                    c, hi, wi, k=k, affinity_channels=spec.affinity_channels,
                     depth=spec.gen_depth, width=spec.gen_width,
                     k_gen=spec.gen_kernel, rng=rng)
-                if spec.affinity_init == "constant":
-                    params[f"{p}.tv.aff"] = np.ones((spec.affinity_channels, hi, wi))
-                else:
-                    params[f"{p}.tv.aff"] = init_affinity_from_stats(
+                if spec.affinity_init == "stats":
+                    gen.aff[...] = init_affinity_from_stats(
                         stats_images, spec.affinity_channels, hi, wi)
                 for name, arr in gen.arrays():
                     params[f"{p}.tv.{name}"] = arr
@@ -194,9 +193,8 @@ class LayoutModel:
     # --- tape forward -------------------------------------------------------
 
     def _field_node(self, prefix: str, gen: GeneratorParams) -> ag.Node:
-        nodes = {name: self.leaves[f"{prefix}.{name}"] for name, _ in gen.arrays()}
-        nodes["affinity"] = self.leaves[f"{prefix}.aff"]
-        return generator_field(nodes, gen)
+        return generator_field({name: self.leaves[f"{prefix}.{name}"]
+                                for name, _ in gen.arrays()}, gen)
 
     def _fields(self) -> dict[str, ag.Node]:
         """Weight-field node per per-position layer. With recording off, a

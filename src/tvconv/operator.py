@@ -61,17 +61,25 @@ class HiddenLayer:
 
 @dataclass
 class GeneratorParams:
-    """Weights of the field generator.
+    """All trainable arrays of one per-position layer: its affinity maps and
+    the field generator that runs over them.
 
     `depth` hidden stages of [conv -> layer norm + relu, one fused tape op]
     followed by one plain output conv (no norm, activation, or bias) that
     emits c*k*k maps.
     """
 
+    aff: np.ndarray  # [c_A, h, w]
     hidden: list[HiddenLayer]
     w_out: np.ndarray
     channels: int
     k: int
+
+    def __post_init__(self):
+        shape = np.shape(self.aff)
+        if len(shape) != 3 or shape[0] != self.affinity_channels:
+            raise ValueError(f"affinity shape {shape} does not match "
+                             f"[{self.affinity_channels}, h, w]")
 
     @property
     def k_gen(self) -> int:
@@ -87,7 +95,8 @@ class GeneratorParams:
         return len(self.hidden)
 
     def arrays(self):
-        """(name, array) pairs in a fixed order."""
+        """(name, array) pairs in a fixed order, the affinity maps first."""
+        yield "aff", self.aff
         for i, hl in enumerate(self.hidden):
             yield f"h{i}.w", hl.w
             yield f"h{i}.gamma", hl.gamma
@@ -98,6 +107,8 @@ class GeneratorParams:
     def create(
         cls,
         channels: int,
+        h: int,
+        w: int,
         k: int = 3,
         affinity_channels: int = 4,
         depth: int = 3,
@@ -106,8 +117,17 @@ class GeneratorParams:
         seed: int | None = None,
         rng: np.random.Generator | None = None,
     ) -> "GeneratorParams":
-        if k % 2 == 0 or k_gen % 2 == 0:
-            raise ValueError(f"kernel sizes must be odd, got k={k}, k_gen={k_gen}")
+        """Fresh generator weights over [affinity_channels, h, w] maps that
+        are all ones."""
+        sizes = {"channels": channels, "h": h, "w": w, "k": k, "depth": depth,
+                 "affinity_channels": affinity_channels, "width": width, "k_gen": k_gen}
+        for name, value in sizes.items():
+            least = 0 if name == "depth" else 1
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
+        for name in ("k", "k_gen"):
+            if sizes[name] % 2 == 0:
+                raise ValueError(f"{name} must be odd, got {sizes[name]}")
         if rng is None:
             rng = np.random.default_rng(seed)
         hidden = []
@@ -124,17 +144,17 @@ class GeneratorParams:
             prev = width
         sd = np.sqrt(2.0 / (prev * k_gen * k_gen))
         w_out = rng.standard_normal((channels * k * k, prev, k_gen, k_gen)) * sd
-        return cls(hidden=hidden, w_out=w_out, channels=channels, k=k)
+        return cls(np.ones((affinity_channels, h, w)), hidden, w_out, channels, k)
 
 
 def generator_field(nodes: dict[str, ag.Node], gen: GeneratorParams) -> ag.Node:
     """The generator as tape ops, returning the field node [c, k, k, h, w]
     (a view of the output conv).
 
-    `nodes` maps "affinity" and every `gen.arrays()` name to a node; `gen`
-    supplies only the structure (depth, c, k).
+    `nodes` maps every `gen.arrays()` name to a node; `gen` supplies only
+    the structure (depth, c, k).
     """
-    aff = nodes["affinity"]
+    aff = nodes["aff"]
     c_a, h, w = aff.value.shape
     a = ag.reshape(aff, (1, c_a, h, w))
     for i in range(gen.depth):
@@ -143,15 +163,10 @@ def generator_field(nodes: dict[str, ag.Node], gen: GeneratorParams) -> ag.Node:
     return ag.reshape(ag.conv(a, nodes["out.w"]), (gen.channels, gen.k, gen.k, h, w))
 
 
-def generate_weights(affinity: np.ndarray, gen: GeneratorParams) -> np.ndarray:
-    """Run the generator over affinity maps [c_A, h, w]; the field [c, k, k, h, w]."""
-    shape = np.shape(affinity)
-    if len(shape) != 3 or shape[0] != gen.affinity_channels:
-        raise ValueError(f"affinity channels do not match generator input: want "
-                         f"[{gen.affinity_channels}, h, w], got {shape}")
+def generate_weights(gen: GeneratorParams) -> np.ndarray:
+    """Run the generator over its affinity maps; the field [c, k, k, h, w]."""
     with ag.no_tape():
         nodes = {name: ag.constant(arr) for name, arr in gen.arrays()}
-        nodes["affinity"] = ag.constant(affinity)
         return generator_field(nodes, gen).value
 
 
@@ -165,6 +180,8 @@ def tvconv_apply(x: Tensor, field: np.ndarray) -> Tensor:
 
 def tvconv_naive_oracle(x: Tensor, field: np.ndarray) -> Tensor:
     """Reference implementation: five explicit loops over the definition."""
+    if len(x.dims) != 3:
+        raise ValueError(f"input must be [c, h, w], got {x.dims}")
     c, h, w = x.dims
     if np.ndim(field) != 5 or (field.shape[0], *field.shape[3:]) != (c, h, w):
         raise ValueError(f"input of shape {x.dims} does not match weight field of "
@@ -184,19 +201,6 @@ def tvconv_naive_oracle(x: Tensor, field: np.ndarray) -> Tensor:
                             acc += field[ch, u, v, i, j] * xv[ch, a, b]
                 out[ch, i, j] = acc
     return Tensor(out)
-
-
-def factorized_weights(basis, coeff, c: int, k: int, h: int, w: int) -> np.ndarray:
-    """Rank-limited field [c, k, k, h, w]: basis [c*k*k, c_A] times coeff [c_A, h*w]."""
-    basis = np.asarray(basis)
-    coeff = np.asarray(coeff)
-    if basis.ndim != 2 or coeff.ndim != 2 or basis.shape[1] != coeff.shape[0]:
-        raise ValueError(f"cannot multiply basis {basis.shape} by coeff {coeff.shape}")
-    if basis.shape[0] != c * k * k:
-        raise ValueError(f"basis has {basis.shape[0]} rows, expected c*k*k = {c * k * k}")
-    if coeff.shape[1] != h * w:
-        raise ValueError(f"coeff has {coeff.shape[1]} columns, expected h*w = {h * w}")
-    return (basis @ coeff).reshape(c, k, k, h, w)
 
 
 def param_count_naive(c: int, k: int, h: int, w: int) -> int:
@@ -234,8 +238,8 @@ def init_affinity_from_stats(images, affinity_channels: int, h: int, w: int) -> 
 
 
 class TVConvLayer:
-    """One translation-variant conv layer bound to a fixed (c, h, w): the
-    generator's c and the affinity maps' h and w.
+    """One translation-variant conv layer: its `GeneratorParams`, affinity
+    maps and generator together, bound to a fixed (c, h, w).
 
     Starts in training mode, where weights() regenerates the field from the
     current parameters. freeze() generates once and caches the field with a
@@ -245,43 +249,22 @@ class TVConvLayer:
     bytes and refuses, naming the array.
     """
 
-    def __init__(self, affinity: np.ndarray, gen: GeneratorParams):
-        affinity = np.asarray(affinity)
-        if affinity.ndim != 3 or affinity.shape[0] != gen.affinity_channels:
-            raise ValueError(f"affinity shape {affinity.shape} does not match "
-                             f"[{gen.affinity_channels}, h, w]")
-        self.affinity = affinity
+    def __init__(self, gen: GeneratorParams):
         self.gen = gen
         self._cache: np.ndarray | None = None
         self._frozen_bytes: tuple | None = None
 
     @classmethod
-    def create(
-        cls,
-        channels: int,
-        h: int,
-        w: int,
-        k: int = 3,
-        affinity_channels: int = 4,
-        depth: int = 3,
-        width: int = 64,
-        k_gen: int = 3,
-        seed: int | None = None,
-        rng: np.random.Generator | None = None,
-    ) -> "TVConvLayer":
-        """Fresh generator weights over affinity maps that are all ones."""
-        gen = GeneratorParams.create(
-            channels, k, affinity_channels, depth, width, k_gen, seed=seed, rng=rng
-        )
-        return cls(np.ones((affinity_channels, h, w)), gen)
+    def create(cls, channels: int, h: int, w: int, **kw) -> "TVConvLayer":
+        """A layer over `GeneratorParams.create(channels, h, w, **kw)`."""
+        return cls(GeneratorParams.create(channels, h, w, **kw))
 
     @property
     def frozen(self) -> bool:
         return self._cache is not None
 
     def arrays(self):
-        yield "aff", self.affinity
-        yield from self.gen.arrays()
+        return self.gen.arrays()
 
     def fingerprint(self) -> tuple:
         """`raw_bytes` of every parameter, in `arrays()` order."""
@@ -290,12 +273,12 @@ class TVConvLayer:
     def weights(self) -> np.ndarray:
         if self.frozen:
             raise StateError("layer is frozen; use infer_cached")
-        return generate_weights(self.affinity, self.gen)
+        return generate_weights(self.gen)
 
     def freeze(self) -> "TVConvLayer":
         if self.frozen:
             raise StateError("layer is already frozen")
-        self._cache = generate_weights(self.affinity, self.gen)
+        self._cache = generate_weights(self.gen)
         self._frozen_bytes = self.fingerprint()
         return self
 

@@ -8,7 +8,7 @@ not accuracy levels.
 import numpy as np
 import pytest
 
-from tvconv import ablations, data, models, operator, report, training
+from tvconv import ablations, data, models, report, training
 
 
 def tiny_ds(seed=0, **kw):
@@ -128,8 +128,7 @@ def test_generator_depth0_k1_is_the_factorized_model():
                                                       spec.affinity_channels)
         coeff = model.params[f"{name}.aff"].reshape(spec.affinity_channels,
                                                     hw * hw)
-        fact = operator.factorized_weights(basis, coeff, c=c, k=spec.k,
-                                           h=hw, w=hw)
+        fact = (basis @ coeff).reshape(c, spec.k, spec.k, hw, hw)
         assert np.max(np.abs(fields[name] - fact)) < 1e-12
     # the same point runs end to end through the grid runner
     res = ablations.run_ablation_generator(

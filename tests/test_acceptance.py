@@ -126,14 +126,14 @@ def test_04_frozen_cache_consistency():
     rng = np.random.default_rng(40)
     layer = operator.TVConvLayer.create(4, 7, 6, k=3, affinity_channels=3,
                                         depth=2, width=8, rng=rng)
-    layer.affinity[:] = rng.standard_normal(layer.affinity.shape)
+    layer.gen.aff[:] = rng.standard_normal(layer.gen.aff.shape)
     inputs = [rng.standard_normal((4, 7, 6)) for _ in range(100)]
     eager = [operator.tvconv_apply(Tensor(x), layer.weights()).data
              for x in inputs]
     layer.freeze()
     frozen = [layer.infer_cached(Tensor(x)).data for x in inputs]
     identical = all(np.array_equal(a, b) for a, b in zip(eager, frozen))
-    layer.affinity[0, 0, 0] += 1e-9
+    layer.gen.aff[0, 0, 0] += 1e-9
     stale_caught = False
     try:
         layer.infer_cached(Tensor(inputs[0]))

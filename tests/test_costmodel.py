@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from tvconv import costmodel as cm
+from tvconv import models
 from tvconv import operator as op
 from tvconv.costmodel import ArchError, ArchSpec, BlockSpec, OpSpec
 
@@ -44,16 +45,15 @@ def test_macs_apply_equals_depthwise():
 def test_macs_generate_frozen_deep():
     # c=16,k=3 at 8x8; affinity 4ch, 3 hidden convs of width 64, k_gen=3:
     #   4*64*64*9 + 2*(64*64*64*9) + 64*144*64*9
-    s = OpSpec("tvconv_generate", c=16, h=8, w=8, k=3,
-               affinity_channels=4, gen_depth=3, gen_width=64, gen_kernel=3)
-    assert cm.op_macs(s) == 147_456 + 2 * 2_359_296 + 5_308_416
+    assert (cm.generator_macs(16, 3, 8, 8, affinity_channels=4, depth=3, width=64,
+                              k_gen=3)
+            == 147_456 + 2 * 2_359_296 + 5_308_416)
 
 
 def test_macs_generate_frozen_linear():
     # depth 0, 1x1 generator kernel: affinity -> field directly, 4*144*64
-    s = OpSpec("tvconv_generate", c=16, h=8, w=8, k=3,
-               affinity_channels=4, gen_depth=0, gen_width=64, gen_kernel=1)
-    assert cm.op_macs(s) == 36_864
+    assert cm.generator_macs(16, 3, 8, 8, affinity_channels=4, depth=0, width=64,
+                             k_gen=1) == 36_864
 
 
 def test_macs_unknown_kind():
@@ -66,55 +66,60 @@ def test_macs_missing_field():
         cm.op_macs(OpSpec("pointwise", c_in=16, h=4, w=4))
 
 
-# --- per-op params ---------------------------------------------------------
+# --- block and generator params ---------------------------------------------
 
 def test_params_frozen():
-    assert cm.op_params(OpSpec("depthwise", c=8, k=3)) == 72
-    assert cm.op_params(OpSpec("pointwise", c_in=16, c_out=32)) == 512
-    assert cm.op_params(OpSpec("conv", c_in=3, c_out=32, k=3)) == 864
+    # conv 3*32*9 = 864; 1x1 transition 32*8; depthwise 8*9 = 72 + pointwise 8*64 = 512
+    arch = ArchSpec(1.0, (3, 4, 4), (
+        BlockSpec("plain", 3, 32, 3, 1, 1, "depthwise"),
+        BlockSpec("plain", 32, 8, 1, 1, 1, "depthwise"),
+        BlockSpec("inverted-residual", 8, 64, 3, 1, 1, "depthwise"),
+    ))
+    rows = cm.chain_cost(arch, ("conv", "t", "ir")).blocks
+    assert [b.params for b in rows] == [864, 256, 72 + 512]
 
 
 def test_params_tvconv_reference_case():
     # 8ch 3x3 filters on a 4x4 map from a linear 1x1 generator over 4
     # affinity channels: 4*16 affinity + 4*72 generator = 352
-    s = OpSpec("tvconv", c=8, k=3, h=4, w=4,
-               affinity_channels=4, gen_depth=0, gen_width=64, gen_kernel=1)
-    assert cm.op_params(s) == 352
+    assert 4 * 16 + cm.generator_params(8, 3, affinity_channels=4, depth=0, width=64,
+                                        k_gen=1) == 352
 
 
 def test_params_tvconv_frozen_deep():
     # affinity 4*64; h1 2304+128; h2,h3 36864+128; out 144*64*9
-    s = OpSpec("tvconv", c=16, k=3, h=8, w=8,
-               affinity_channels=4, gen_depth=3, gen_width=64, gen_kernel=3)
-    assert cm.op_params(s) == 159_616
+    assert 4 * 64 + cm.generator_params(16, 3, affinity_channels=4, depth=3, width=64,
+                                        k_gen=3) == 159_616
 
 
-def test_params_tvconv_matches_built_layer():
-    # closed form must count exactly the arrays a real layer allocates
-    rng = np.random.default_rng(7)
-    for _ in range(10):
-        c = int(rng.integers(1, 12))
-        k = int(rng.choice([1, 3]))
-        h = int(rng.integers(2, 10))
-        w = int(rng.integers(2, 10))
-        ca = int(rng.integers(1, 6))
-        depth = int(rng.integers(0, 4))
-        width = int(rng.integers(1, 20))
-        kg = int(rng.choice([1, 3]))
-        layer = op.TVConvLayer.create(
-            channels=c, h=h, w=w, k=k, affinity_channels=ca,
-            depth=depth, width=width, k_gen=kg, seed=0)
-        actual = sum(a.size for _, a in layer.arrays())
-        s = OpSpec("tvconv", c=c, k=k, h=h, w=w, affinity_channels=ca,
-                   gen_depth=depth, gen_width=width, gen_kernel=kg)
-        assert cm.op_params(s) == actual
+@pytest.mark.parametrize("spec", [
+    models.default_model_spec("depthwise"),
+    models.default_model_spec("tvconv"),
+    models.default_model_spec("tvconv", k=5, affinity_channels=3, gen_depth=2,
+                              gen_width=5, gen_kernel=1),
+], ids=["depthwise", "tvconv", "tvconv-deep"])
+def test_chain_params_count_model_arrays_but_block_norms(spec):
+    # Each block row counts exactly the arrays the model allocates under its
+    # name, except that block's own layer norms; the classifier row counts
+    # head.w but not head.b. The generator's hidden norms are counted. (The
+    # default tvconv model holds 17,392 values, of which total_params counts
+    # 17,224: 160 block-norm values and head.b's 8 are left out.)
+    model = models.LayoutModel.create(spec, seed=0)
+    rep = cm.chain_cost(*models.desk_arch(spec))
+    for row in rep.blocks[:-1]:
+        arrays = [a for n, a in model.params.items() if n.startswith(f"{row.name}.")
+                  and not n.endswith((".ln.g", ".ln.b"))]
+        assert row.params == sum(a.size for a in arrays), row.name
+    assert rep.blocks[-1].name == "classifier"
+    assert rep.blocks[-1].params == model.params["head.w"].size
+    norms = sum(a.size for n, a in model.params.items() if n.endswith((".ln.g", ".ln.b")))
+    assert rep.total_params + norms + spec.classes == sum(
+        a.size for a in model.params.values())
 
 
 def test_params_agree_with_factorized_count():
-    assert cm.op_params(OpSpec(
-        "tvconv", c=8, k=3, h=4, w=4, affinity_channels=4,
-        gen_depth=0, gen_width=1, gen_kernel=1)
-    ) == op.param_count_factorized(8, 3, 4, 4, 4)
+    assert 4 * 16 + cm.generator_params(8, 3, affinity_channels=4, depth=0, width=1,
+                                        k_gen=1) == op.param_count_factorized(8, 3, 4, 4, 4)
 
 
 # --- channel rounding ------------------------------------------------------

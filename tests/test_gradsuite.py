@@ -94,10 +94,10 @@ def test_fused_relu_inputs_are_checked_for_kinks():
     # A ReLU fused into a layer norm leaves no `relu` node on the tape; the
     # kink check reruns the norm's forward, residual and stride included,
     # without the ReLU, so it sees the exact values the ReLU clamps.
-    gen = GeneratorParams.create(2, 3, affinity_channels=2, depth=2, width=3, seed=0)
+    gen = GeneratorParams.create(2, 4, 5, 3, affinity_channels=2, depth=2, width=3, seed=0)
     nodes = {name: ag.leaf(arr) for name, arr in gen.arrays()}
     rng = np.random.default_rng(0)
-    nodes["affinity"] = ag.leaf(rng.standard_normal((2, 4, 5)))
+    nodes["aff"] = ag.leaf(rng.standard_normal((2, 4, 5)))
     tape = ag._topo(generator_field(nodes, gen))
     fused = [n for n in tape if n.op == "layer_norm" and n.saved["relu"]]
     assert len(fused) == gen.depth and not any(n.op == "relu" for n in tape)

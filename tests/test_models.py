@@ -207,8 +207,8 @@ def test_tape_generator_matches_operator_module():
     m = LayoutModel.create(tv_spec(), seed=3)
     fields = m.weight_fields()
     for name, gen in m.tv_layers.items():
-        aff = m.params[f"{name}.aff"]
-        layer = operator.TVConvLayer(aff, gen)
+        assert gen.aff is m.params[f"{name}.aff"]
+        layer = operator.TVConvLayer(gen)
         assert np.array_equal(fields[name], layer.weights())
 
 

@@ -5,6 +5,8 @@ checked against a straight-line composition of the batched kernels; the
 factorized form and the constant-affinity degeneracy get their own oracles.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,6 @@ from tvconv.operator import (
     StateError,
     TVConvLayer,
     export_affinity,
-    factorized_weights,
     generate_weights,
     init_affinity_from_stats,
     param_count_factorized,
@@ -44,9 +45,11 @@ class TestWeightField:
     def test_five_d_view(self):
         # The generator's output rows reshape, as a view, into the field:
         # row (ch*k + u)*k + v holds tap (u, v) of channel ch.
-        gen = GeneratorParams.create(channels=2, k=3, affinity_channels=3, depth=0, seed=5)
+        gen = GeneratorParams.create(channels=2, h=4, w=5, k=3, affinity_channels=3,
+                                     depth=0, seed=5)
         aff = np.random.default_rng(0).standard_normal((3, 4, 5))
-        field = generate_weights(aff, gen)
+        gen.aff[...] = aff
+        field = generate_weights(gen)
         assert field.shape == (2, 3, 3, 4, 5)
         rows = kernels.conv(aff[None], gen.w_out)[0]
         np.testing.assert_allclose(field[1, 2, 0], rows[(1 * 3 + 2) * 3 + 0],
@@ -93,6 +96,8 @@ class TestApply:
             tvconv_apply(Tensor(np.ones((3, 4, 4))), wf)
         with pytest.raises(ValueError, match=r"\(2, 5, 4\).*\(2, 3, 3, 4, 4\)"):
             tvconv_naive_oracle(Tensor(np.ones((2, 5, 4))), wf)
+        with pytest.raises(ValueError, match=r"input must be \[c, h, w\], got \(4, 4\)"):
+            tvconv_naive_oracle(Tensor(np.ones((4, 4))), wf)
 
 
 class TestGenerate:
@@ -100,13 +105,15 @@ class TestGenerate:
         rng = np.random.default_rng(4)
         for depth in (0, 1, 2, 3):
             gen = GeneratorParams.create(
-                channels=2, k=3, affinity_channels=3, depth=depth, width=5, k_gen=3, seed=44
+                channels=2, h=6, w=7, k=3, affinity_channels=3, depth=depth, width=5,
+                k_gen=3, seed=44
             )
             for hl in gen.hidden:
                 hl.gamma[:] = rng.uniform(0.5, 1.5, hl.gamma.shape)
                 hl.beta[:] = rng.standard_normal(hl.beta.shape)
             aff = rng.standard_normal((3, 6, 7))
-            wf = generate_weights(aff, gen)
+            gen.aff[...] = aff
+            wf = generate_weights(gen)
 
             a = aff[None]
             for hl in gen.hidden:
@@ -119,22 +126,33 @@ class TestGenerate:
                 np.testing.assert_allclose(wf[ch, u, v], ref[(ch * 3 + u) * 3 + v],
                                            rtol=0, atol=1e-12)
 
-    def test_channel_mismatch_rejected(self):
-        gen = GeneratorParams.create(channels=2, k=3, affinity_channels=4, seed=0)
-        with pytest.raises(ValueError, match="affinity channels"):
-            generate_weights(np.ones((3, 4, 4)), gen)
-        with pytest.raises(ValueError, match="affinity channels"):
-            generate_weights(np.ones((4, 4)), gen)
+    BAD_SIZES = [("depth", -1, ">= 0"), ("width", 0, ">= 1"),
+                 ("affinity_channels", 0, ">= 1"), ("channels", 0, ">= 1"),
+                 ("h", 0, ">= 1"), ("w", -3, ">= 1"), ("k", -1, ">= 1"),
+                 ("k", 2, "odd"), ("k_gen", 4, "odd")]
+
+    @pytest.mark.parametrize("name, value, rule", BAD_SIZES,
+                             ids=[f"{n}={v}" for n, v, _ in BAD_SIZES])
+    def test_create_refuses_bad_sizes(self, name, value, rule):
+        # refused by name, in check_arch's wording, before the generator draws
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        sizes = dict(channels=2, h=4, w=5, k=3, affinity_channels=2, depth=1, width=4,
+                     k_gen=3)
+        with pytest.raises(ValueError, match=f"^{name} must be {rule}, got {value}$"):
+            TVConvLayer.create(**{**sizes, name: value}, rng=rng)
+        assert rng.bit_generator.state == state
 
     def test_default_hyperparams(self):
-        gen = GeneratorParams.create(channels=2, k=3, seed=0)
+        gen = GeneratorParams.create(channels=2, h=4, w=4, k=3, seed=0)
+        assert gen.aff.shape == (4, 4, 4)
         assert len(gen.hidden) == 3
         assert gen.hidden[0].w.shape == (64, 4, 3, 3)
         assert gen.hidden[1].w.shape == (64, 64, 3, 3)
         assert gen.w_out.shape == (18, 64, 3, 3)
 
     def test_init_scale_fan_in(self):
-        gen = GeneratorParams.create(channels=4, k=3, affinity_channels=4, seed=7)
+        gen = GeneratorParams.create(channels=4, h=4, w=4, k=3, affinity_channels=4, seed=7)
         fan_in = 4 * 9
         sd = gen.hidden[0].w.std()
         assert 0.7 * np.sqrt(2 / fan_in) < sd < 1.3 * np.sqrt(2 / fan_in)
@@ -151,6 +169,8 @@ class TestDegeneracy:
             depth = int(rng.integers(0, 4))
             gen = GeneratorParams.create(
                 channels=c,
+                h=5,
+                w=6,
                 k=k,
                 affinity_channels=int(rng.integers(1, 4)),
                 depth=depth,
@@ -161,8 +181,8 @@ class TestDegeneracy:
             for hl in gen.hidden:
                 hl.gamma[:] = rng.uniform(0.5, 1.5, hl.gamma.shape)
                 hl.beta[:] = rng.standard_normal(hl.beta.shape)
-            aff = np.full((gen.affinity_channels, 5, 6), float(rng.uniform(-2, 2)))
-            wf = generate_weights(aff, gen)
+            gen.aff[...] = float(rng.uniform(-2, 2))
+            wf = generate_weights(gen)
             # Every spatial position carries the same filter.
             assert np.ptp(wf.reshape(c * k * k, -1), axis=1).max() < 1e-12
 
@@ -180,11 +200,12 @@ class TestDegeneracy:
             margin = (depth + 1) * 1
             h = w = 2 * margin + 3
             gen = GeneratorParams.create(
-                channels=2, k=3, affinity_channels=2, depth=depth, width=4, k_gen=3, seed=9
+                channels=2, h=h, w=w, k=3, affinity_channels=2, depth=depth, width=4,
+                k_gen=3, seed=9
             )
             for hl in gen.hidden:
                 hl.beta[:] = rng.standard_normal(hl.beta.shape)
-            wf = generate_weights(np.ones((2, h, w)), gen)
+            wf = generate_weights(gen)
             interior = wf[..., margin : h - margin, margin : w - margin]
             assert np.ptp(interior.reshape(2 * 9, -1), axis=1).max() < 1e-12
             # And the border genuinely differs, otherwise the margin test is vacuous.
@@ -192,29 +213,20 @@ class TestDegeneracy:
 
 
 class TestFactorized:
-    def test_matches_matmul_oracle(self):
-        rng = np.random.default_rng(7)
-        basis = rng.standard_normal((4, 2))  # c*k*k = 4 rows (c=1, k=2 invalid; use c=4,k=1)
-        coeff = rng.standard_normal((2, 6))
-        wf = factorized_weights(basis, coeff, c=4, k=1, h=2, w=3)
-        expect = (basis @ coeff).reshape(4, 1, 1, 2, 3)
-        np.testing.assert_allclose(wf, expect, atol=1e-15)
-
-    def test_inner_dim_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            factorized_weights(np.zeros((4, 3)), np.zeros((2, 6)), c=4, k=1, h=2, w=3)
-
     def test_equals_depth0_pointwise_generator(self):
-        # A depth-0 generator with 1x1 kernel is exactly the rank-c_A product.
+        # A depth-0 generator with 1x1 kernel is exactly the rank-c_A product
+        # basis [c*k*k, c_A] @ coeff [c_A, h*w].
         rng = np.random.default_rng(8)
         gen = GeneratorParams.create(
-            channels=3, k=3, affinity_channels=2, depth=0, width=4, k_gen=1, seed=10
+            channels=3, h=4, w=5, k=3, affinity_channels=2, depth=0, width=4, k_gen=1,
+            seed=10
         )
         aff = rng.standard_normal((2, 4, 5))
-        wf = generate_weights(aff, gen)
+        gen.aff[...] = aff
+        wf = generate_weights(gen)
         basis = gen.w_out[:, :, 0, 0]
         coeff = aff.reshape(2, -1)
-        ref = factorized_weights(basis, coeff, c=3, k=3, h=4, w=5)
+        ref = (basis @ coeff).reshape(3, 3, 3, 4, 5)
         np.testing.assert_allclose(wf, ref, atol=1e-12)
 
 
@@ -251,7 +263,7 @@ class TestLayerCache:
     def test_mis_shaped_affinity_rejected(self, shape):
         gen = self.make_layer().gen
         with pytest.raises(ValueError, match=r"affinity shape .* does not match \[2, h, w\]"):
-            TVConvLayer(np.ones(shape), gen)
+            replace(gen, aff=np.ones(shape))
 
     def test_freeze_twice_rejected(self):
         layer = self.make_layer()
@@ -273,7 +285,7 @@ class TestLayerCache:
     def test_stale_cache_detected(self):
         layer = self.make_layer()
         layer.freeze()
-        layer.affinity[0, 0, 0] += 1.0
+        layer.gen.aff[0, 0, 0] += 1.0
         with pytest.raises(StaleCacheError):
             layer.infer_cached(Tensor(np.ones((2, 5, 5))))
 
@@ -290,7 +302,7 @@ class TestLayerCache:
         layer.freeze()
         field = layer.cached_field()
         assert np.array_equal(field, expected)
-        layer.affinity[0, 0, 0] += 1.0
+        layer.gen.aff[0, 0, 0] += 1.0
         with pytest.raises(StaleCacheError):
             layer.cached_field()
 
@@ -352,8 +364,8 @@ class TestAffinityInit:
     def test_layer_create_fills_constant(self):
         layer = TVConvLayer.create(channels=2, h=4, w=5, affinity_channels=3, depth=0,
                                    seed=0)
-        assert layer.affinity.shape == (3, 4, 5)
-        np.testing.assert_array_equal(layer.affinity, 1.0)
+        assert layer.gen.aff.shape == (3, 4, 5)
+        np.testing.assert_array_equal(layer.gen.aff, 1.0)
 
     def test_from_stats_two_image_case(self):
         imgs = np.stack([np.zeros((1, 4, 4)), np.full((1, 4, 4), 2.0)])
