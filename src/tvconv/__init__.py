@@ -13,10 +13,10 @@ The package splits into layers that can be used independently:
   and a reverse-mode tape over them.
 - `operator`: the weight generator, whose field is one plain [c, k, k, h, w]
   array from generation to kernel, the per-position convolution with its
-  loop-nest oracle, parameter-count arithmetic, and the freeze/cache
-  lifecycle, whose guard compares every parameter's raw bytes with a
-  snapshot taken at freeze.
-- `costmodel`: analytic MACs and parameter counts for whole block chains,
+  loop-nest oracle, and the freeze/cache lifecycle, whose guard compares
+  every parameter's raw bytes with a snapshot taken at freeze.
+- `costmodel`: analytic MACs and parameter counts for whole block chains
+  (`generator_params` counts the arrays one per-position layer stores),
   including a mobilenet-style reference builder and a reader for the arch
   text format.
 - `data`: a synthetic layout-classification task where position carries the
@@ -70,9 +70,6 @@ from .operator import (
     TVConvLayer,
     export_affinity,
     generate_weights,
-    param_count_factorized,
-    param_count_naive,
-    reduction_ratio,
     tvconv_apply,
     tvconv_naive_oracle,
 )
@@ -111,10 +108,7 @@ __all__ = [
     "model_macs",
     "network_cost",
     "op_macs",
-    "param_count_factorized",
-    "param_count_naive",
     "parse_arch",
-    "reduction_ratio",
     "run_ablation_affine",
     "run_ablation_generator",
     "run_ablation_init",

@@ -86,10 +86,9 @@ def _error_result(header: str, dataset, seeds, variants) -> AblationResult:
 
 
 def run_ablation_init(dataset, cfg: training.TrainConfig,
-                      seeds=DEFAULT_SEEDS,
-                      spec: models.ModelSpec | None = None) -> AblationResult:
+                      seeds=DEFAULT_SEEDS, *,
+                      spec: models.ModelSpec) -> AblationResult:
     """Constant-1 vs data-statistics affinity init, all else identical."""
-    spec = spec or models.default_model_spec("tvconv")
     return _error_result("init", dataset, seeds, [
         (init, replace(spec, affinity_init=init), cfg)
         for init in ("constant", "stats")])
@@ -97,10 +96,9 @@ def run_ablation_init(dataset, cfg: training.TrainConfig,
 
 def run_ablation_generator(dataset, cfg: training.TrainConfig,
                            grid=DEFAULT_GENERATOR_GRID,
-                           seeds=DEFAULT_SEEDS,
-                           spec: models.ModelSpec | None = None) -> AblationResult:
+                           seeds=DEFAULT_SEEDS, *,
+                           spec: models.ModelSpec) -> AblationResult:
     """Sweep generator shape: (hidden stages, width, affinity channels)."""
-    spec = spec or models.default_model_spec("tvconv")
     return _error_result("point", dataset, seeds, [
         (f"L{depth}.cB{width}.cA{c_a}",
          replace(spec, gen_depth=depth, gen_width=width, affinity_channels=c_a), cfg)
@@ -118,14 +116,13 @@ def stage_subsets(n_stages: int) -> tuple[tuple[str, tuple[int, ...]], ...]:
 
 
 def run_ablation_stage(dataset, cfg: training.TrainConfig,
-                       seeds=DEFAULT_SEEDS,
-                       spec: models.ModelSpec | None = None) -> AblationResult:
+                       seeds=DEFAULT_SEEDS, *,
+                       spec: models.ModelSpec) -> AblationResult:
     """Sweep which stages use the per-position operator.
 
     The empty subset is the plain depthwise baseline; the full subset is
     the all-stages default placement.
     """
-    spec = spec or models.default_model_spec("depthwise")
     return _error_result("stages", dataset, seeds, [
         (label, replace(spec, stages=tuple(
             replace(st, operator="tvconv" if i in chosen else "depthwise")
@@ -143,10 +140,9 @@ def translation_pixels(magnitude: float, h: int, w: int) -> int:
 
 def run_ablation_affine(dataset, cfg: training.TrainConfig,
                         magnitudes=DEFAULT_MAGNITUDES,
-                        seeds=DEFAULT_SEEDS,
-                        spec: models.ModelSpec | None = None) -> AblationResult:
+                        seeds=DEFAULT_SEEDS, *,
+                        spec: models.ModelSpec) -> AblationResult:
     """Accuracy of both operators vs translation-augmentation magnitude."""
-    spec = spec or models.default_model_spec("depthwise")
     points = [(f"{mag}", translation_pixels(mag, spec.h, spec.w))
               for mag in magnitudes]
     first = {}   # px -> first magnitude; an exact repeat is left to _sweep

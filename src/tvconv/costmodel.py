@@ -79,11 +79,13 @@ def generator_macs(c: int, k: int, h: int, w: int, affinity_channels: int,
     return _generator_convs(c, k, affinity_channels, depth, width, k_gen) * h * w
 
 
-def generator_params(c: int, k: int, affinity_channels: int,
+def generator_params(c: int, k: int, h: int, w: int, affinity_channels: int,
                      depth: int, width: int, k_gen: int) -> int:
-    """Weights of the field generator alone (affinity maps not included):
-    its convs plus a norm scale and offset per hidden channel."""
-    return (_generator_convs(c, k, affinity_channels, depth, width, k_gen)
+    """Values one per-position layer stores, the arrays `GeneratorParams`
+    holds: its h*w affinity maps, the generator's convs, and a norm scale
+    and offset per hidden channel."""
+    return (affinity_channels * h * w
+            + _generator_convs(c, k, affinity_channels, depth, width, k_gen)
             + 2 * width * depth)
 
 
@@ -129,7 +131,7 @@ class ArchSpec:
     width: float
     input_shape: tuple[int, int, int]       # channels, height, width
     blocks: tuple[BlockSpec, ...]
-    head_embed: int | None = None           # global dw + pointwise embedding
+    head_embed: int = 0                     # global dw + pointwise embedding; 0: none
     classes: int = 0                        # classifier on the embedding
     gen_affinity: int = 4                   # generator shape for tvconv slots
     gen_depth: int = 3
@@ -186,7 +188,7 @@ def check_arch(spec: ArchSpec, names: Sequence[str]) -> None:
         raise ArchError(f"input dims must be >= 1, got {spec.input_shape}")
     for name, least in (("gen_affinity", 1), ("gen_width", 1), ("gen_kernel", 1),
                         ("gen_depth", 0), ("classes", 0), ("head_embed", 0)):
-        if (getattr(spec, name) or 0) < least:     # head_embed may be None
+        if getattr(spec, name) < least:
             raise ArchError(f"{name} must be >= {least}, got {getattr(spec, name)}")
     if spec.gen_kernel % 2 == 0:
         raise ArchError(f"gen_kernel must be odd, got {spec.gen_kernel}")
@@ -231,11 +233,10 @@ def _block_cost(spec: ArchSpec, b: BlockSpec, name: str, h: int,
             params += hidden * b.k * b.k
         else:
             macs += op_macs(OpSpec("tvconv_apply", c=hidden, h=oh, w=ow, k=b.k))
-            gen_shape = (spec.gen_affinity, spec.gen_depth, spec.gen_width,
-                         spec.gen_kernel)
-            params += (spec.gen_affinity * oh * ow
-                       + generator_params(hidden, b.k, *gen_shape))
-            gen = generator_macs(hidden, b.k, oh, ow, *gen_shape)
+            layer = (hidden, b.k, oh, ow, spec.gen_affinity, spec.gen_depth,
+                     spec.gen_width, spec.gen_kernel)
+            params += generator_params(*layer)
+            gen = generator_macs(*layer)
         inter = max(inter, hidden * oh * ow)
         macs += op_macs(OpSpec("pointwise", c_in=hidden, c_out=c_out, h=oh, w=ow))
         params += hidden * c_out
@@ -257,7 +258,7 @@ def chain_cost(spec: ArchSpec, names: Sequence[str]) -> CostReport:
         rep.total_params += cost.params
         rep.one_time_generation_macs += gen
 
-    if spec.head_embed is not None:
+    if spec.head_embed:
         gdw = c * h * w                       # one h*w filter per channel
         pw = c * spec.head_embed
         rep.blocks.append(BlockCost("head", gdw + pw, gdw + pw, 1, 1,
@@ -322,8 +323,8 @@ _HEADER_KEYS = ("width", "input", "head_embed", "classes",
 _BLOCK_KEYS = ("cin", "cout", "k", "stride", "expand", "op")
 # integer headers that take their default when absent
 _OPTIONAL_INTS = {name: ArchSpec.__dataclass_fields__[name].default
-                  for name in ("classes", "gen_affinity", "gen_depth",
-                               "gen_width", "gen_kernel")}
+                  for name in ("head_embed", "classes", "gen_affinity",
+                               "gen_depth", "gen_width", "gen_kernel")}
 
 
 def _parse_int(value: str, what: str, where: str) -> int:
@@ -402,7 +403,6 @@ def parse_arch(text: str, source: str = "<string>") -> ArchSpec:
     shape = tuple(_parse_int(d, "input dim", iwhere) for d in ival.split("x"))
 
     return ArchSpec(width, shape, tuple(blocks),
-                    head_embed=geti("head_embed", 0) or None,
                     **{name: geti(name, default)
                        for name, default in _OPTIONAL_INTS.items()})
 

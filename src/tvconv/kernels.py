@@ -22,17 +22,16 @@ for it.
 
 The bit-exact contracts hold by sharing a path: `dwconv` is `tvconv` on a
 field whose position axes have length 1, so a weight field that is constant
-over positions gives the depthwise output by construction, and a
-single-channel dense conv runs `dwconv`. The depthwise gradients keep their
-own loops: a flipped-filter `dwconv` for the input and a reduction over
-positions for the weight, both faster than the per-position gradients at one
-filter. `tvconv_dx` runs `tvconv`'s tap loop (`_tap_sum`) on g's stack, in
-the same channel blocks: tap (u, v) multiplies a copy of the field plane
-moved by (r-u, r-v) into the window at (k-1-u, k-1-v) and is added in the
-same row-major order as the scatter into a padded buffer it replaced, so its
-bits are that scatter's. One loop keeps padded windows on purpose:
-`dwconv_dw`'s `->c` einsum groups its sum by the length of its inner loop,
-so on the stack it gives other bits at n = 1.
+over positions gives the depthwise output by construction. The depthwise
+gradients keep their own loops: a flipped-filter `dwconv` for the input and
+a reduction over positions for the weight, both faster than the per-position
+gradients at one filter. `tvconv_dx` runs `tvconv`'s tap loop (`_tap_sum`)
+on g's stack, in the same channel blocks: tap (u, v) multiplies a copy of
+the field plane moved by (r-u, r-v) into the window at (k-1-u, k-1-v) and is
+added in the same row-major order as the scatter into a padded buffer it
+replaced, so its bits are that scatter's. One loop keeps padded windows on
+purpose: `dwconv_dw`'s `->c` einsum groups its sum by the length of its
+inner loop, so on the stack it gives other bits at n = 1.
 
 Layer norm returns only its per-sample moments next to its output, and the
 tape saves those two [n,1,1,1] arrays, not the normalized activation; the
@@ -104,8 +103,6 @@ def conv(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Dense conv: x [n,ci,h,w], w [co,ci,k,k] -> [n,co,h,w], as one GEMM."""
     n, ci, h, ww = x.shape
     co, _, k, _ = w.shape
-    if ci == co == 1:
-        return dwconv(x, w[0])
     return np.matmul(w.reshape(co, -1), _im2col(x, k)).reshape(n, co, h, ww)
 
 

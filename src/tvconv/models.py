@@ -89,10 +89,10 @@ class ModelSpec:
 
 
 def default_model_spec(op: str = "depthwise", **kw) -> ModelSpec:
+    """`ModelSpec(**kw)` with every stage using `op`."""
     if op not in OPERATORS:
         raise ValueError(f"unknown operator '{op}'")
-    stages = kw.pop("stages", (StageSpec(8, 1, op, 2), StageSpec(16, 1, op, 2)))
-    return ModelSpec(stages=tuple(stages), **kw)
+    return to_operator(ModelSpec(**kw), op)
 
 
 def to_operator(spec: ModelSpec, op: str) -> ModelSpec:

@@ -203,20 +203,6 @@ def tvconv_naive_oracle(x: Tensor, field: np.ndarray) -> Tensor:
     return Tensor(out)
 
 
-def param_count_naive(c: int, k: int, h: int, w: int) -> int:
-    """Storing every per-position filter directly."""
-    return c * k * k * h * w
-
-
-def param_count_factorized(c: int, k: int, h: int, w: int, affinity_channels: int) -> int:
-    """Basis plus coefficient maps."""
-    return c * k * k * affinity_channels + affinity_channels * h * w
-
-
-def reduction_ratio(c: int, k: int, h: int, w: int, affinity_channels: int) -> float:
-    return param_count_naive(c, k, h, w) / param_count_factorized(c, k, h, w, affinity_channels)
-
-
 def init_affinity_from_stats(images, affinity_channels: int, h: int, w: int) -> np.ndarray:
     """Seed maps [c_A, h, w] from dataset statistics.
 

@@ -159,14 +159,15 @@ def test_05_parameter_arithmetic():
         h = int(rng.integers(1, 12))
         w = int(rng.integers(1, 12))
         c_a = int(rng.integers(1, 6))
-        # element-count oracles: size of the actual arrays being stored
-        naive = np.empty((c * k * k, h, w))
-        basis = np.empty((c * k * k, c_a))
-        coeff = np.empty((c_a, h * w))
-        assert operator.param_count_naive(c, k, h, w) == naive.size
-        assert (operator.param_count_factorized(c, k, h, w, c_a)
-                == basis.size + coeff.size)
-    ratio = operator.reduction_ratio(32, 3, 56, 56, 1)
+        # element-count oracles: the arrays a real layer allocates. A depth-0,
+        # 1x1 generator stores a basis over its affinity maps (coefficients)
+        # and emits the field that naive storage would hold.
+        gen = operator.GeneratorParams.create(c, h, w, k=k, affinity_channels=c_a,
+                                              depth=0, width=1, k_gen=1, seed=0)
+        assert operator.generate_weights(gen).size == c * k * k * h * w
+        assert (costmodel.generator_params(c, k, h, w, c_a, 0, 1, 1)
+                == sum(a.size for _, a in gen.arrays()))
+    ratio = 32 * 3 * 3 * 56 * 56 / costmodel.generator_params(32, 3, 56, 56, 1, 0, 1, 1)
     ok = abs(ratio - 288.0) <= 0.1 * 288.0
     _line(5, "parameter-arithmetic", ok,
           f"counts exact on 20 configs; 32ch 3x3 56x56 rank-1 reduction "

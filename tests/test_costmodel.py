@@ -8,7 +8,7 @@ import pytest
 
 from tvconv import costmodel as cm
 from tvconv import models
-from tvconv import operator as op
+from tvconv.operator import GeneratorParams
 from tvconv.costmodel import ArchError, ArchSpec, BlockSpec, OpSpec
 
 
@@ -82,14 +82,33 @@ def test_params_frozen():
 def test_params_tvconv_reference_case():
     # 8ch 3x3 filters on a 4x4 map from a linear 1x1 generator over 4
     # affinity channels: 4*16 affinity + 4*72 generator = 352
-    assert 4 * 16 + cm.generator_params(8, 3, affinity_channels=4, depth=0, width=64,
-                                        k_gen=1) == 352
+    assert cm.generator_params(8, 3, 4, 4, affinity_channels=4, depth=0, width=64,
+                               k_gen=1) == 352
 
 
 def test_params_tvconv_frozen_deep():
-    # affinity 4*64; h1 2304+128; h2,h3 36864+128; out 144*64*9
-    assert 4 * 64 + cm.generator_params(16, 3, affinity_channels=4, depth=3, width=64,
-                                        k_gen=3) == 159_616
+    # affinity 4*64 on 8x8; h1 2304+128; h2,h3 36864+128; out 144*64*9
+    assert cm.generator_params(16, 3, 8, 8, affinity_channels=4, depth=3, width=64,
+                               k_gen=3) == 159_616
+
+
+def _drawn_generator_shapes(n=12, seed=0):
+    """(c, k, h, w, c_A, depth, width, k_gen), depth cycling through 0..3."""
+    rng = np.random.default_rng(seed)
+    return [(int(rng.integers(1, 6)), int(rng.choice([1, 3, 5])),
+             int(rng.integers(1, 9)), int(rng.integers(1, 9)),
+             int(rng.integers(1, 5)), i % 4, int(rng.integers(1, 9)),
+             int(rng.choice([1, 3, 5])))
+            for i in range(n)]
+
+
+@pytest.mark.parametrize("c, k, h, w, c_a, depth, width, k_gen",
+                         _drawn_generator_shapes())
+def test_generator_params_count_a_built_layer(c, k, h, w, c_a, depth, width, k_gen):
+    gen = GeneratorParams.create(c, h, w, k=k, affinity_channels=c_a, depth=depth,
+                                 width=width, k_gen=k_gen, seed=0)
+    assert cm.generator_params(c, k, h, w, c_a, depth, width, k_gen) == sum(
+        a.size for _, a in gen.arrays())
 
 
 @pytest.mark.parametrize("spec", [
@@ -115,11 +134,6 @@ def test_chain_params_count_model_arrays_but_block_norms(spec):
     norms = sum(a.size for n, a in model.params.items() if n.endswith((".ln.g", ".ln.b")))
     assert rep.total_params + norms + spec.classes == sum(
         a.size for a in model.params.values())
-
-
-def test_params_agree_with_factorized_count():
-    assert 4 * 16 + cm.generator_params(8, 3, affinity_channels=4, depth=0, width=1,
-                                        k_gen=1) == op.param_count_factorized(8, 3, 4, 4, 4)
 
 
 # --- channel rounding ------------------------------------------------------
@@ -314,6 +328,20 @@ def test_mobilenet_like_structure():
 
 
 # --- arch text --------------------------------------------------------------
+
+def test_no_head_is_one_encoding():
+    # head_embed=0 means no head, built directly or read from text; the
+    # classifier then sits on the last block's 8 channels: 8*10 MACs
+    block = BlockSpec("plain", 3, 8, 3, 1, 1, "depthwise")
+    direct = cm.network_cost(ArchSpec(1.0, (3, 8, 8), (block,), head_embed=0,
+                                      classes=10))
+    text = ("width=1.0\ninput=3x8x8\nhead_embed=0\nclasses=10\n"
+            "block plain cin=3 cout=8 k=3 stride=1 expand=1 op=depthwise\n")
+    parsed = cm.network_cost(cm.parse_arch(text))
+    assert [b.name for b in direct.blocks] == ["b1.plain", "classifier"]
+    assert direct.blocks[-1].macs == 80
+    assert direct == parsed
+
 
 def test_parse_arch_optional_headers():
     # every optional header set away from its default

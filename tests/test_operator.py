@@ -18,13 +18,11 @@ from tvconv.operator import (
     export_affinity,
     generate_weights,
     init_affinity_from_stats,
-    param_count_factorized,
-    param_count_naive,
-    reduction_ratio,
     tvconv_apply,
     tvconv_naive_oracle,
 )
 from tvconv import kernels
+from tvconv.costmodel import generator_params
 from tvconv.tensor import Tensor, load_tensor
 
 
@@ -231,14 +229,18 @@ class TestFactorized:
 
 
 class TestParamCounts:
+    # A depth-0, 1x1 generator over c_A maps: a [c*k*k, c_A] basis and
+    # [c_A, h, w] coefficients, against c*k*k*h*w taps stored directly.
     def test_frozen_arithmetic(self):
-        assert param_count_naive(8, 3, 4, 4) == 1152
-        assert param_count_factorized(8, 3, 4, 4, affinity_channels=1) == 88
-        assert abs(reduction_ratio(8, 3, 4, 4, affinity_channels=1) - 13.0909) < 1e-3
+        factorized = generator_params(8, 3, 4, 4, affinity_channels=1, depth=0,
+                                      width=1, k_gen=1)
+        assert factorized == 88
+        assert abs(8 * 3 * 3 * 4 * 4 / factorized - 13.0909) < 1e-3
 
     def test_reference_resolution_ratio(self):
         # c=32, k=3, 56x56 maps, c_A=1: reduction approaches c*k*k = 288.
-        r = reduction_ratio(32, 3, 56, 56, affinity_channels=1)
+        r = 32 * 3 * 3 * 56 * 56 / generator_params(32, 3, 56, 56, affinity_channels=1,
+                                                    depth=0, width=1, k_gen=1)
         assert abs(r - 288) / 288 < 0.10
 
 

@@ -131,19 +131,6 @@ class TestConv2d:
             got = conv2d(x, wt)
             np.testing.assert_allclose(got, conv_oracle(x, wt), rtol=0, atol=1e-12)
 
-    def test_single_channel_equals_depthwise_bitwise(self):
-        # The dense and depthwise kernels reduce taps in the same order, so
-        # where they coincide they agree bit for bit.
-        rng = np.random.default_rng(14)
-        for dtype in (np.float64, np.float32):
-            for _ in range(10):
-                x = rng.standard_normal((1, 6, 5)).astype(dtype)
-                wt = rng.standard_normal((1, 3, 3)).astype(dtype)
-                a = conv2d(x, wt[None])
-                b = depthwise_conv2d(x, wt)
-                assert np.array_equal(a, b)
-                assert a.dtype == b.dtype
-
 
 class TestLayerNorm:
     def test_frozen_small_case(self):

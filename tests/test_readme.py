@@ -1,7 +1,8 @@
 """The README's examples name only what the package has: the quickstart's
 imports, the command line block's commands and the train.cfg example's
 keys are read out of README.md and looked up in the code. Its package
-layout table has a row for every module."""
+layout table has a row for every module, and every name the package
+exports resolves."""
 
 import ast
 import re
@@ -27,6 +28,13 @@ def test_quickstart_imports_are_public():
     assert names
     for name in names:
         assert hasattr(tvconv, name) and name in tvconv.__all__, name
+
+
+def test_every_exported_name_resolves():
+    # `from tvconv import *` fails on a name left in __all__ after it went
+    assert len(set(tvconv.__all__)) == len(tvconv.__all__)
+    for name in tvconv.__all__:
+        assert hasattr(tvconv, name), name
 
 
 def test_command_line_block_names_real_commands():
