@@ -198,7 +198,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         for epoch, loss, acc in result.history:
             print(f"epoch {epoch} loss {loss:.6f} acc {acc:.4f}")
     out = args.out / "model"
-    models.save_model(result.model, out)
+    models.save_model(model, out)
     rows = [[e, f"{l:.6f}", f"{a:.4f}"] for e, l, a in result.history]
     hist = _emit(args, "history.txt",
                  report.format_table(["epoch", "loss", "test_acc"], rows) + "\n")

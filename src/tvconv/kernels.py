@@ -17,21 +17,20 @@ gives, and the conv runs about a fifth faster. Every desk field fits L2 and
 stays one block: splitting the channels of a batched desk input made it slower
 (1.30 -> 1.84 ms at 32x8x16x16 in two blocks). The dense conv and its two
 gradients are one GEMM each over an im2col matrix, which at k = 1 is a reshape
-of the input; `pad_same` copies the input into the interior of a zeroed buffer
-for it.
+of the input and otherwise a window view of a zero-padded copy, the module's
+only padded copy.
 
-The bit-exact contracts hold by sharing a path: `dwconv` is `tvconv` on a
-field whose position axes have length 1, so a weight field that is constant
-over positions gives the depthwise output by construction. The depthwise
-gradients keep their own loops: a flipped-filter `dwconv` for the input and
-a reduction over positions for the weight, both faster than the per-position
-gradients at one filter. `tvconv_dx` runs `tvconv`'s tap loop (`_tap_sum`)
-on g's stack, in the same channel blocks: tap (u, v) multiplies a copy of
-the field plane moved by (r-u, r-v) into the window at (k-1-u, k-1-v) and is
+The bit-exact contracts hold by sharing a path: the depthwise kernels are the
+per-position kernels on a one-position field, in all three directions.
+`dwconv` is `tvconv` on a field whose position axes have length 1, so a
+weight field that is constant over positions gives the depthwise output by
+construction; `dwconv_dx` is `dwconv` with the flipped filter, and
+`dwconv_dw` is `tvconv_dw`'s tap loop (`_tap_grads`) with an einsum that also
+sums over positions. `tvconv_dx` runs `tvconv`'s tap loop (`_tap_sum`) on
+g's stack, in the same channel blocks: tap (u, v) multiplies a copy of the
+field plane moved by (r-u, r-v) into the window at (k-1-u, k-1-v) and is
 added in the same row-major order as the scatter into a padded buffer it
-replaced, so its bits are that scatter's. One loop keeps padded windows on
-purpose: `dwconv_dw`'s `->c` einsum groups its sum by the length of its
-inner loop, so on the stack it gives other bits at n = 1.
+replaced, so its bits are that scatter's.
 
 Layer norm returns only its per-sample moments next to its output, and the
 tape saves those two [n,1,1,1] arrays, not the normalized activation; the
@@ -58,16 +57,6 @@ L2_BYTES = 2 << 20  # one core's L2; a `tvconv` channel block's slice of the fie
 LN_EPS = 1e-5       # added to every layer norm's variance
 
 
-def pad_same(x: np.ndarray, k: int) -> np.ndarray:
-    r = k // 2
-    if r == 0:
-        return x
-    n, c, h, w = x.shape
-    xp = np.zeros((n, c, h + 2 * r, w + 2 * r), dtype=x.dtype)
-    xp[:, :, r : r + h, r : r + w] = x
-    return xp
-
-
 def dwconv(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Depthwise conv: x [n,c,h,w], w [c,k,k] -> [n,c,h,w]; `tvconv` with a
     field that is constant over positions."""
@@ -80,13 +69,7 @@ def dwconv_dx(g: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def dwconv_dw(g: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
-    n, c, h, ww = x.shape
-    xp = pad_same(x, k)
-    dw = np.zeros((c, k, k), dtype=x.dtype)
-    for u in range(k):
-        for v in range(k):
-            dw[:, u, v] = np.einsum("nchw,nchw->c", g, xp[:, :, u : u + h, v : v + ww])
-    return dw
+    return _tap_grads(g, x, np.zeros((x.shape[1], k, k), dtype=x.dtype), "nchw,nchw->c")
 
 
 def _im2col(x: np.ndarray, k: int) -> np.ndarray:
@@ -95,7 +78,10 @@ def _im2col(x: np.ndarray, k: int) -> np.ndarray:
     n, ci, h, w = x.shape
     if k == 1:
         return x.reshape(n, ci, h * w)
-    taps = sliding_window_view(pad_same(x, k), (k, k), axis=(2, 3))  # [n, ci, h, w, k, k]
+    r = k // 2
+    xp = np.zeros((n, ci, h + 2 * r, w + 2 * r), dtype=x.dtype)
+    xp[:, :, r : r + h, r : r + w] = x
+    taps = sliding_window_view(xp, (k, k), axis=(2, 3))  # [n, ci, h, w, k, k]
     return taps.transpose(0, 1, 4, 5, 2, 3).reshape(n, ci * k * k, h * w)
 
 
@@ -193,14 +179,20 @@ def tvconv_dx(g: np.ndarray, w5: np.ndarray) -> np.ndarray:
         _moved(f[:, u, v], r - u, r - v), k - 1 - u, k - 1 - v))
 
 
-def tvconv_dw(g: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
-    n, c, h, ww = x.shape
+def _tap_grads(g: np.ndarray, x: np.ndarray, dw: np.ndarray, spec: str) -> np.ndarray:
+    """Fill dw [c, k, k, ...] tap by tap: dw[:, u, v] is the einsum `spec` of g
+    and rows u..u+h-1 of plane v of x's shifted stack."""
+    k, h = dw.shape[1], x.shape[2]
     xs = _shifted_stack(x, k)
-    dw = np.zeros((c, k, k, h, ww), dtype=x.dtype)
     for u in range(k):
         for v in range(k):
-            dw[:, u, v] = np.einsum("nchw,nchw->chw", g, xs[v, :, :, u : u + h])
+            dw[:, u, v] = np.einsum(spec, g, xs[v, :, :, u : u + h])
     return dw
+
+
+def tvconv_dw(g: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
+    dw = np.zeros((x.shape[1], k, k) + x.shape[2:], dtype=x.dtype)
+    return _tap_grads(g, x, dw, "nchw,nchw->chw")
 
 
 def layer_norm_fwd(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, relu: bool = False,

@@ -16,10 +16,13 @@ TVTENSOR layout (all integers little-endian):
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
+
+MAXDIMS = 64 if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else 32  # most axes of an array
 
 REAL32 = np.dtype(np.float32)
 REAL64 = np.dtype(np.float64)
@@ -82,6 +85,8 @@ def tensor_from_bytes(raw: bytes) -> Tensor:
         raise FormatError(f"unknown dtype code {code}")
     if ndim < 1:
         raise FormatError("zero-rank tensor not allowed")
+    if ndim > MAXDIMS:
+        raise FormatError(f"ndim {ndim} exceeds the {MAXDIMS} axes numpy can hold")
     dtype = _CODE_TO_DTYPE[code]
     off = 10
     if len(raw) < off + 4 * ndim:
@@ -90,11 +95,11 @@ def tensor_from_bytes(raw: bytes) -> Tensor:
     off += 4 * ndim
     if any(d < 1 for d in dims):
         raise FormatError(f"zero-extent axis in dims {dims}")
-    count = int(np.prod(dims))
+    count = math.prod(dims)  # exact: a numpy product wraps in int64
     need = count * dtype.itemsize
     got = len(raw) - off
     if got < need:
-        raise FormatError(f"payload truncated: expected {need} bytes, got {got}")
+        raise FormatError(f"payload truncated: dims {dims} need {need} bytes, got {got}")
     if got > need:
         raise FormatError(f"trailing bytes after payload: expected {need} bytes, got {got}")
     flat = np.frombuffer(raw, dtype=dtype.newbyteorder("<"), count=count, offset=off)

@@ -89,7 +89,6 @@ def sgd_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
 @dataclass
 class TrainResult:
     history: list[tuple[int, float, float]] = field(default_factory=list)
-    model: LayoutModel | None = None
 
 
 def check_split(x: np.ndarray, y: np.ndarray, split: str) -> None:
@@ -128,7 +127,7 @@ def train(model: LayoutModel, dataset, cfg: TrainConfig) -> TrainResult:
     shuffle = rng_for(cfg.seed, "shuffle")
     aug = rng_for(cfg.seed, "augment") if cfg.augment_translate > 0 else None
     state: dict[str, np.ndarray] = {}
-    result = TrainResult(model=model)
+    result = TrainResult()
     n = len(y_tr)
     for epoch in range(cfg.epochs):
         step_cfg = replace(cfg, lr=effective_lr(cfg, epoch))

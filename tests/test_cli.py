@@ -221,7 +221,7 @@ def run_train_spy(args, tmp_path, monkeypatch):
 
     def spy(model, ds, cfg):
         seen.update(data=ds.spec, model=model.spec, train=cfg)
-        return training.TrainResult([(0, 0.0, 0.0)], model)
+        return training.TrainResult([(0, 0.0, 0.0)])
 
     monkeypatch.setattr(training, "train", spy)
     assert cli.main([str(a) for a in ["train", "--out", tmp_path, *args]]) == 0

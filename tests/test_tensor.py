@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from tvconv.tensor import (
+    MAXDIMS,
     REAL32,
     REAL64,
     FormatError,
@@ -137,3 +138,19 @@ class TestTvtensorFormat:
         raw = b"TVTENSOR" + struct.pack("<BB", 1, 1) + struct.pack("<I", 0)
         with pytest.raises(FormatError):
             tensor_from_bytes(raw)
+
+    def test_dims_whose_size_wraps_rejected(self):
+        # 2**31 * 2**31 * 4 values wrap to 0 in int64, which the empty payload matched.
+        raw = b"TVTENSOR" + struct.pack("<BB", 1, 3) + struct.pack("<3I", 2**31, 2**31, 4)
+        assert len(raw) == 22
+        with pytest.raises(FormatError, match=r"dims \(2147483648, 2147483648, 4\) need "
+                                              r"147573952589676412928 bytes, got 0"):
+            tensor_from_bytes(raw)
+
+    def test_rank_numpy_cannot_hold_rejected(self):
+        raw = b"TVTENSOR" + struct.pack("<BB", 1, 65) + struct.pack("<65I", *[1] * 65)
+        with pytest.raises(FormatError, match="ndim 65 exceeds"):
+            tensor_from_bytes(raw + bytes(8))
+        # the largest rank numpy holds still reads back
+        a = np.full((1,) * MAXDIMS, 2.5)
+        np.testing.assert_array_equal(tensor_from_bytes(tensor_to_bytes(Tensor(a))).data, a)
