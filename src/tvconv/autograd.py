@@ -9,6 +9,13 @@ gradient map for parameter leaves. Backward rules are looked up in a registry
 keyed by op name so an unknown op on the tape is a hard error rather than a
 silent zero.
 
+Only the loss's 1.0 and the parameters' gradients outlive backward(). Each
+other node's gradient is dropped as soon as its rule has used it, so the walk
+holds the gradients still in flight, not every gradient of the step, and a
+training step's peak is its tape plus that front. A gradient a rule hands on
+as a view (`reshape`'s, the norm's residual gradient) lives on in the parent
+that holds it.
+
 The tape holds only the ops the desk models run, and nothing else: layer
 norm is the one op with an epilogue (`layer_norm`'s residual, ReLU and
 stride), so there is no separate add, ReLU or subsample op. Each rule is one
@@ -225,8 +232,10 @@ def _topo(loss: Node) -> list[Node]:
 def backward(loss: Node) -> dict[Node, np.ndarray]:
     """Propagate d(loss)/d(node) through the tape.
 
-    Returns the gradient map for parameter leaves; every visited node also
-    gets its .grad set. Gradients accumulate across fan-out.
+    Returns the gradient map for parameter leaves. Gradients accumulate
+    across fan-out. Afterwards `loss.grad` is 1.0, each parameter's `.grad`
+    is its entry in the map, and every other node's `.grad` is None: it was
+    freed once its rule had returned, since nothing reads it later.
     """
     if np.size(loss.value) != 1:
         raise GradError(f"loss must be scalar, got shape {np.shape(loss.value)}")
@@ -240,6 +249,8 @@ def backward(loss: Node) -> dict[Node, np.ndarray]:
         if node.op not in _RULES:
             raise GradError(f"no backward rule registered for op '{node.op}'")
         pgrads = _RULES[node.op](node, node.grad)
+        if node is not loss and not node.is_param:
+            node.grad = None
         for parent, pg in zip(node.parents, pgrads):
             if pg is None:
                 continue

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -133,14 +134,26 @@ def _section(cfg: dict[str, str], name: str, base, **fixed):
                             for key, field in _FIELDS[name].items()}, **fixed)
 
 
+@contextmanager
+def _named_on_oom(cfg: dict[str, str], name: str):
+    """Report a `MemoryError` raised inside as a refusal naming the `<name>.*`
+    keys and values that asked for the memory, not as a traceback."""
+    try:
+        yield
+    except MemoryError as e:
+        keys = ", ".join(f"{k}={v}" for k, v in sorted(cfg.items()) if k.startswith(f"{name}."))
+        raise CliError(f"out of memory with {keys or f'the default {name}.* keys'}: {e}") from e
+
+
 def _load_or_gen_dataset(cfg: dict[str, str]) -> data.Dataset:
-    if "data.path" in cfg:
-        path = Path(cfg["data.path"])
-        if not path.is_dir():
-            raise CliError(f"dataset directory not found: {path}")
-        return data.load_dataset(path)
-    return data.gen_layout_dataset(_section(
-        cfg, "data", data.LayoutDatasetSpec(), seed=_get(cfg, "seed", 0)))
+    with _named_on_oom(cfg, "data"):
+        if "data.path" in cfg:
+            path = Path(cfg["data.path"])
+            if not path.is_dir():
+                raise CliError(f"dataset directory not found: {path}")
+            return data.load_dataset(path)
+        return data.gen_layout_dataset(_section(
+            cfg, "data", data.LayoutDatasetSpec(), seed=_get(cfg, "seed", 0)))
 
 
 def _model_spec(cfg: dict[str, str], ds: data.Dataset) -> models.ModelSpec:
@@ -191,8 +204,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     ds = _load_or_gen_dataset(cfg)
     mspec = _model_spec(cfg, ds)
     tcfg = _train_config(cfg)
-    model = models.LayoutModel.create(mspec, seed=tcfg.seed,
-                                      stats_images=ds.train_x)
+    with _named_on_oom(cfg, "model"):
+        model = models.LayoutModel.create(mspec, seed=tcfg.seed,
+                                          stats_images=ds.train_x)
     result = training.train(model, ds, tcfg)
     if args.verbose:
         for epoch, loss, acc in result.history:
@@ -299,7 +313,8 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     tcfg = _train_config(cfg)
     seeds = _get(cfg, "seeds", ablations.DEFAULT_SEEDS)
     points = {key: _get(cfg, key, None)} if key in cfg else {}
-    res = runner(ds, tcfg, seeds=seeds, spec=mspec, **points)
+    with _named_on_oom(cfg, "model"):   # each run builds its models
+        res = runner(ds, tcfg, seeds=seeds, spec=mspec, **points)
     text = res.table() + "\n\n" + report.format_kv(res.kv())
     out = _emit(args, f"ablation_{name}.txt", text)
     print(res.table())

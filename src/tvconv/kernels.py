@@ -51,7 +51,7 @@ itself and does not return it as the residual's gradient.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 L2_BYTES = 2 << 20  # one core's L2; a `tvconv` channel block's slice of the field fits it
 LN_EPS = 1e-5       # added to every layer norm's variance
@@ -81,8 +81,9 @@ def _im2col(x: np.ndarray, k: int) -> np.ndarray:
     r = k // 2
     xp = np.zeros((n, ci, h + 2 * r, w + 2 * r), dtype=x.dtype)
     xp[:, :, r : r + h, r : r + w] = x
-    taps = sliding_window_view(xp, (k, k), axis=(2, 3))  # [n, ci, h, w, k, k]
-    return taps.transpose(0, 1, 4, 5, 2, 3).reshape(n, ci * k * k, h * w)
+    s0, s1, s2, s3 = xp.strides  # tap (u, v) at (i, j) reads xp[..., i + u, j + v]
+    taps = as_strided(xp, (n, ci, k, k, h, w), (s0, s1, s2, s3, s2, s3), writeable=False)
+    return taps.reshape(n, ci * k * k, h * w)
 
 
 def conv(x: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -58,6 +58,18 @@ class TestBackwardContract:
         grads = backward(model.loss(x, [0, 1]))
         assert len(grads) == len(model.params)
 
+    def test_only_the_root_and_parameters_keep_a_gradient(self):
+        # Each intermediate gradient is freed once its rule has used it.
+        model = models.LayoutModel.create(models.default_model_spec("tvconv"), seed=0)
+        x = np.random.default_rng(0).standard_normal((2, 1, 32, 32))
+        loss = model.loss(x, [0, 1])
+        grads = backward(loss)
+        assert {n.name for n in grads} == set(model.params)
+        np.testing.assert_array_equal(loss.grad, 1.0)
+        kept = [n for n in ag._topo(loss)
+                if n is not loss and not n.is_param and n.grad is not None]
+        assert kept == []
+
     def test_non_scalar_loss_rejected(self):
         x = ag.leaf(np.ones(3), param=True)
         with pytest.raises(GradError, match="scalar"):

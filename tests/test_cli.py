@@ -510,15 +510,21 @@ def test_ablate_unknown_name_rejected(tmp_path, capsys):
 # --- packaging ----------------------------------------------------------------
 
 
-def run_module(args, cwd):
+def run_module(args, cwd, address_space=None):
     """`python -m tvconv` in a child that imports the tree under test, not an
-    installed copy."""
+    installed copy; `address_space` bytes, when given, cap its RLIMIT_AS."""
     src = str(Path(tvconv.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, env.get("PYTHONPATH")]))
+
+    def limit():
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
     return subprocess.run([sys.executable, "-m", "tvconv", *map(str, args)],
-                          capture_output=True, text=True, env=env, cwd=cwd)
+                          capture_output=True, text=True, env=env, cwd=cwd,
+                          preexec_fn=None if address_space is None else limit)
 
 
 def test_console_script_runs(tmp_path):
@@ -548,6 +554,22 @@ def test_run_that_overflows_on_its_last_step_saves_nothing(tmp_path):
     assert proc.returncode == 1
     assert proc.stderr == "error: image 0 has non-finite logits (the model overflows)\n"
     assert not (tmp_path / "model").exists()
+
+
+@pytest.mark.parametrize("args, named", [
+    (["train", "--set", "model.k=99999"], "model.k=99999"),
+    (["ablate", "init", "--set", "seeds=0", "--set", "model.gen_kernel=99999"],
+     "model.gen_kernel=99999"),
+    (["synth", "--set", "data.n_train=10000000000"], "data.n_train=10000000000"),
+])
+def test_allocation_too_large_is_one_error_line(args, named, tmp_path):
+    # Each asks numpy for tens to hundreds of GiB; the child's 1 GiB address
+    # space makes sure no such request can reach the host's memory.
+    proc = run_module([*args, "--out", tmp_path], tmp_path, address_space=1 << 30)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: out of memory with {named}: Unable to allocate ")
+    assert proc.stderr.count("\n") == 1
+    assert not list(tmp_path.iterdir())
 
 
 def test_console_script_target_is_cli_main():
