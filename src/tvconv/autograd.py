@@ -74,10 +74,7 @@ class Node:
 
 
 def leaf(value, name=None, param=False) -> Node:
-    arr = np.asarray(value)
-    if arr.dtype.char not in "fd":  # float32 or float64; a cheap test, run per leaf per call
-        arr = arr.astype(np.float64)
-    return Node("leaf", arr, (), name=name, is_param=param)
+    return Node("leaf", np.asarray(value), (), name=name, is_param=param)
 
 
 def constant(value) -> Node:

@@ -63,7 +63,7 @@ KNOWN_KEYS = {
     "train": _RUN_KEYS,
     "eval": {"checkpoint", "data.path"},
     "count": {"arch"},
-    "gradcheck": {"seed", "tol", "eps", "instances"},
+    "gradcheck": {"seed", "tol", "instances"},
     "export-affinity": {"checkpoint"},
     "ablate": _RUN_KEYS | {"name", "seeds", "grid", "magnitudes"},
 }
@@ -260,9 +260,8 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     cfg = load_config(args)
     seed = _get(cfg, "seed", 0)
     tol = _get(cfg, "tol", 1e-5)
-    eps = _get(cfg, "eps", 1e-6)
     instances = _get(cfg, "instances", 100)
-    results = run_suite(seed=seed, tol=tol, eps=eps, instances=instances)
+    results = run_suite(seed=seed, tol=tol, instances=instances)
     failed = 0
     for r in results:
         status = "pass" if r.passed else "FAIL"

@@ -1,36 +1,37 @@
 """Vectorized numpy kernels under the autograd ops and the operator module.
 
 All spatial kernels work on batched [n, c, h, w] arrays with zero "same"
-padding and odd square kernels. The per-position conv and its two gradients
-read a column-shifted stack of an input (`_shifted_stack`; of g for the input
-gradient): plane v is the padded input moved v columns, so tap (u, v) is rows
-u..u+h-1 of plane v, one contiguous run of h*w values per (n, c) where a
-padded copy gives h strided runs of w. `tvconv` adds one tap at a time in
-row-major (u, v) order, starting from zeros: each tap is multiplied into one
-product buffer, allocated once per call, and added from there. That order and
-the zero start fix every output bit, signed zeros included. It walks channels
-in blocks whose slice of the field fits one core's L2 (`L2_BYTES`). The field
-is read once either way; what a block keeps in cache is its output, product
-and stack slices, which each of the k*k taps reads again. At a 32x56x56 layer
-those are 4.1 MB whole and 1.0 MB in each of the four blocks its 7.2 MB field
-gives, and the conv runs about a fifth faster. Every desk field fits L2 and
-stays one block: splitting the channels of a batched desk input made it slower
-(1.30 -> 1.84 ms at 32x8x16x16 in two blocks). The dense conv and its two
-gradients are one GEMM each over an im2col matrix, which at k = 1 is a reshape
-of the input and otherwise a window view of a zero-padded copy, the module's
-only padded copy.
+padding and odd square kernels. Every input gradient is its forward on a
+transformed weight: `conv_dx` is `conv` with the channel axes swapped and
+the filter flipped, `dwconv_dx` is `dwconv` with the filter flipped, and
+`tvconv_dx` is `tvconv` on g turned 180 degrees with the adjoint field
+(`_adjoint`), turned back. Turning keeps the taps in row-major (u, v) order,
+so its products, and the order they are added in, are the scatter's into a
+padded buffer that it replaced, signed zeros included.
 
-The bit-exact contracts hold by sharing a path: the depthwise kernels are the
-per-position kernels on a one-position field, in all three directions.
-`dwconv` is `tvconv` on a field whose position axes have length 1, so a
-weight field that is constant over positions gives the depthwise output by
-construction; `dwconv_dx` is `dwconv` with the flipped filter, and
-`dwconv_dw` is `tvconv_dw`'s tap loop (`_tap_grads`) with an einsum that also
-sums over positions. `tvconv_dx` runs `tvconv`'s tap loop (`_tap_sum`) on
-g's stack, in the same channel blocks: tap (u, v) multiplies a copy of the
-field plane moved by (r-u, r-v) into the window at (k-1-u, k-1-v) and is
-added in the same row-major order as the scatter into a padded buffer it
-replaced, so its bits are that scatter's.
+The per-position conv and its weight gradient read a column-shifted stack
+of their input (`_shifted_stack`): plane v is the padded input moved v
+columns, so tap (u, v) is rows u..u+h-1 of plane v, one contiguous run of
+h*w values per (n, c) where a padded copy gives h strided runs of w.
+`tvconv` adds one tap at a time in row-major (u, v) order, starting from
+zeros: each tap is multiplied into one product buffer, allocated once per
+call, and added from there. That order and the zero start fix every output
+bit, signed zeros included. It walks channels in blocks whose slice of the
+field fits one core's L2 (`L2_BYTES`). The field is read once either way;
+what a block keeps in cache is its output, product and stack slices, which
+each of the k*k taps reads again. At a 32x56x56 layer those are 4.1 MB
+whole and 1.0 MB in each of the four blocks its 7.2 MB field gives, and the
+conv runs about a fifth faster. Every desk field fits L2 and stays one
+block: splitting the channels of a batched desk input made it slower (1.30
+-> 1.84 ms at 32x8x16x16 in two blocks). The dense conv and its two
+gradients are one GEMM each over an im2col matrix, which at k = 1 is a
+reshape of the input and otherwise a window view of a zero-padded copy.
+
+The depthwise kernels are the per-position kernels on a one-position field,
+so a weight field that is constant over positions gives the depthwise
+result by construction: `dwconv` is `tvconv` on a field whose position axes
+have length 1, and `dwconv_dw` is `tvconv_dw`'s tap loop (`_tap_grads`)
+with an einsum that also sums over positions.
 
 Layer norm returns only its per-sample moments next to its output, and the
 tape saves those two [n,1,1,1] arrays, not the normalized activation; the
@@ -120,64 +121,53 @@ def _shifted_stack(x: np.ndarray, k: int) -> np.ndarray:
     return xs
 
 
-def _tap_sum(xs: np.ndarray, w5: np.ndarray, tap) -> np.ndarray:
-    """From zeros, add one tap at a time in row-major (u, v) order: a field
-    plane times a window of the shifted stack xs [k, n, c, h+2r, w].
-    `tap(f, u, v)` gives, for tap (u, v) of a block's field slice f, the
-    plane [cb, h, w] and the (row, plane) of the stack window it multiplies.
-    Channels run in blocks whose slice of the field fits L2_BYTES."""
-    k, n, c, hp, ww = xs.shape
-    h = hp - 2 * (k // 2)
-    blocks = -(-w5.nbytes // L2_BYTES)  # the fewest whose field slices fit L2
-    step = -(-c // blocks)  # channels per block; the last block may be short
-    out = np.zeros((n, c, h, ww), dtype=xs.dtype)
-    prod = np.empty((n, step, h, ww), dtype=xs.dtype)
-    for c0 in range(0, c, step):
-        o, f = out[:, c0 : c0 + step], w5[c0 : c0 + step]
-        p = prod[:, : o.shape[1]]
-        for u in range(k):
-            for v in range(k):
-                plane, row, col = tap(f, u, v)
-                np.multiply(plane[None], xs[col, :, c0 : c0 + step, row : row + h], out=p)
-                o += p
-    return out
-
-
 def tvconv(x: np.ndarray, w5: np.ndarray) -> np.ndarray:
     """Per-position depthwise conv: x [n,c,h,w], w5 [c,k,k,h,w] -> [n,c,h,w];
     k is odd, and w5's two position axes may also be 1 (one filter for every
-    position). Any other field shape raises ValueError. Channels run in blocks
-    whose slice of the field fits L2_BYTES."""
+    position). Any other field shape raises ValueError. Tap (u, v) is field
+    plane (u, v) times rows u..u+h-1 of plane v of x's shifted stack."""
     n, c, h, ww = x.shape
     if (w5.ndim != 5 or w5.shape[0] != c or w5.shape[1] != w5.shape[2]
             or w5.shape[1] % 2 == 0 or w5.shape[3:] not in ((h, ww), (1, 1))):
         raise ValueError(f"weight field of shape {w5.shape} does not fit input of shape "
                          f"{x.shape}: want [{c}, k, k, {h}, {ww}] or [{c}, k, k, 1, 1], "
                          "k odd")
-    return _tap_sum(_shifted_stack(x, w5.shape[1]), w5, lambda f, u, v: (f[:, u, v], u, v))
-
-
-def _moved(f: np.ndarray, du: int, dv: int) -> np.ndarray:
-    """A copy of f [c, h, w] with out[:, i, j] = f[:, i+du, j+dv], zero where
-    that falls outside f."""
-    _, h, w = f.shape
-    out = np.zeros_like(f)
-    ilo, ihi, jlo, jhi = max(0, -du), min(h, h - du), max(0, -dv), min(w, w - dv)
-    if ilo < ihi and jlo < jhi:
-        out[:, ilo:ihi, jlo:jhi] = f[:, ilo + du : ihi + du, jlo + dv : jhi + dv]
+    k = w5.shape[1]
+    xs = _shifted_stack(x, k)
+    blocks = -(-w5.nbytes // L2_BYTES)  # the fewest whose field slices fit L2
+    step = -(-c // blocks)  # channels per block; the last block may be short
+    out = np.zeros((n, c, h, ww), dtype=x.dtype)
+    prod = np.empty((n, step, h, ww), dtype=x.dtype)
+    for c0 in range(0, c, step):
+        o, f = out[:, c0 : c0 + step], w5[c0 : c0 + step]
+        p = prod[:, : o.shape[1]]
+        for u in range(k):
+            for v in range(k):
+                np.multiply(f[None, :, u, v], xs[v, :, c0 : c0 + step, u : u + h], out=p)
+                o += p
     return out
+
+
+def _adjoint(w5: np.ndarray) -> np.ndarray:
+    """The field `tvconv_dx` applies to g turned 180 degrees: plane (u, v) is
+    w5's plane (u, v) turned and shifted by (u-r, v-r), zero outside the map.
+    Built by k*k slice copies into zeros: at desk fields 0.01 ms slower than a
+    window view of one padded turned copy, copied out; 1.6x faster at 32x56x56."""
+    _, k, _, h, w = w5.shape
+    r = k // 2
+    turned, adj = w5[..., ::-1, ::-1], np.zeros_like(w5)
+    for u, v in np.ndindex(k, k):
+        i, j = u - r, v - r  # adj[:, u, v, a, b] = turned[:, u, v, a + i, b + j]
+        adj[:, u, v, max(0, -i) : max(0, h - i), max(0, -j) : max(0, w - j)] = (
+            turned[:, u, v, max(0, i) : max(0, h + i), max(0, j) : max(0, w + j)])
+    return adj
 
 
 def tvconv_dx(g: np.ndarray, w5: np.ndarray) -> np.ndarray:
     """Input gradient of `tvconv`: dx[i, j] sums, over taps (u, v), the field
-    at (i+r-u, j+r-v) times g there. Tap (u, v) is the field plane moved by
-    (r-u, r-v) times the window of g's shifted stack at (k-1-u, k-1-v); where
-    the moved plane is zero the window is padding, so those products are +0.0
-    and leave the sum as the scatter into a padded buffer left it."""
-    k = w5.shape[1]
-    r = k // 2
-    return _tap_sum(_shifted_stack(g, k), w5, lambda f, u, v: (
-        _moved(f[:, u, v], r - u, r - v), k - 1 - u, k - 1 - v))
+    at (i+r-u, j+r-v) times g there, which is `tvconv` on g turned 180
+    degrees with the adjoint field, turned back."""
+    return np.ascontiguousarray(tvconv(g[..., ::-1, ::-1], _adjoint(w5))[..., ::-1, ::-1])
 
 
 def _tap_grads(g: np.ndarray, x: np.ndarray, dw: np.ndarray, spec: str) -> np.ndarray:

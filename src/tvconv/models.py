@@ -105,7 +105,8 @@ def desk_arch(spec: ModelSpec) -> tuple[ArchSpec, tuple[str, ...]]:
     """The model as a cost-model chain at its exact widths, and the name of
     each block: the stem, then per stage a strided pointwise transition
     `s{i}.t` and its residual blocks `s{i}.b{j}`. Rejects a spec no model
-    can have."""
+    can have, and a `k` (or a per-position block's `gen_kernel`) wider than
+    2*min(h, w) - 1 on a block's h x w map, naming the block and the key."""
     for name in ("classes", "stem_channels", "affinity_channels"):
         if getattr(spec, name) < 1:
             raise ValueError(f"{name} must be >= 1, got {getattr(spec, name)}")
@@ -127,6 +128,16 @@ def desk_arch(spec: ModelSpec) -> tuple[ArchSpec, tuple[str, ...]]:
                     gen_depth=spec.gen_depth, gen_width=spec.gen_width,
                     gen_kernel=spec.gen_kernel)
     check_arch(arch, names)
+    h, w = spec.h, spec.w
+    for i, (name, b) in enumerate(chain):
+        h, w = h // b.stride, w // b.stride
+        sizes = {"k": b.k}
+        if b.kind != "plain" and b.op == "tvconv":
+            sizes["gen_kernel"] = spec.gen_kernel
+        for key, size in sizes.items():
+            if size > 2 * min(h, w) - 1:  # each tap past that reads only padding
+                raise ValueError(f"block {i + 1} ({name}): {key} must be <= "
+                                 f"{2 * min(h, w) - 1} on a {h}x{w} map, got {size}")
     return arch, names
 
 
@@ -362,13 +373,17 @@ def save_model(model: LayoutModel, path) -> None:
 def load_model(path) -> LayoutModel:
     """Build the spec's skeleton with `create` and copy each saved array into
     it in place, so the generators keep aliasing the parameters.
-    A file with a wrong shape, a non-finite value or a sha256 other than the
+    A spec `create` refuses or cannot allocate is refused naming model.txt; a
+    file with a wrong shape, a non-finite value or a sha256 other than the
     manifest's is refused by name."""
     src = Path(path)
     source = str(src / "model.txt")
     manifest = report.parse_kv((src / "model.txt").read_text(), source)
     spec = report.spec_from_kv(ModelSpec, manifest, source, stages=_stages_parse)
-    model = LayoutModel.create(replace(spec, affinity_init="constant"))
+    try:
+        model = LayoutModel.create(replace(spec, affinity_init="constant"))
+    except (ValueError, MemoryError) as e:
+        raise ValueError(f"{source}: {e}") from e
     model.spec = spec
     names = manifest.get("params", "").split(",")
     if names != list(model.params):

@@ -69,9 +69,7 @@ def effective_lr(cfg: TrainConfig, epoch: int) -> float:
 def sgd_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
              state: dict[str, np.ndarray], cfg: TrainConfig) -> None:
     for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            continue
+        g = grads[name]
         if g.shape != p.shape:
             raise ValueError(
                 f"grad shape {g.shape} does not match param shape {p.shape} "

@@ -85,7 +85,7 @@ def test_zero_instances_rejected():
 def test_nan_error_fails_the_op(monkeypatch):
     # a nan error fails its op, although max(0.0, nan) is 0.0
     monkeypatch.setattr(gradsuite, "finite_diff_grad",
-                        lambda f, x, eps: np.full(np.shape(x), np.nan))
+                        lambda f, x: np.full(np.shape(x), np.nan))
     result = gradsuite.check_op("reshape", np.random.default_rng(0), instances=2)
     assert np.isnan(result.max_rel_err) and not result.passed
 

@@ -90,6 +90,12 @@ def test_sgd_shape_mismatch():
         training.sgd_step({"w": np.zeros(3)}, {"w": np.zeros(2)}, {}, cfg())
 
 
+def test_sgd_parameter_without_gradient_fails():
+    # a parameter the loss never reached fails the step, not silently never trains
+    with pytest.raises(KeyError, match="w"):
+        training.sgd_step({"w": np.zeros(1)}, {}, {}, cfg())
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="lr"):
         TrainConfig(lr=-0.1)
