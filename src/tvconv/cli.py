@@ -142,7 +142,8 @@ def _named_on_oom(cfg: dict[str, str], name: str):
         yield
     except MemoryError as e:
         keys = ", ".join(f"{k}={v}" for k, v in sorted(cfg.items()) if k.startswith(f"{name}."))
-        raise CliError(f"out of memory with {keys or f'the default {name}.* keys'}: {e}") from e
+        why = f": {e}" if str(e) else ""   # a list's MemoryError carries no text
+        raise CliError(f"out of memory with {keys or f'the default {name}.* keys'}{why}") from e
 
 
 def _load_or_gen_dataset(cfg: dict[str, str]) -> data.Dataset:

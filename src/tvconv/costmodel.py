@@ -68,9 +68,11 @@ def _need(spec: OpSpec, *names: str) -> list[int]:
 def _generator_convs(c: int, k: int, affinity_channels: int, depth: int,
                      width: int, k_gen: int) -> int:
     """Conv weights of the field generator: affinity maps -> `depth` hidden
-    layers of `width` channels -> c*k*k filter rows, each a k_gen x k_gen conv."""
-    chans = [affinity_channels, *[width] * depth, c * k * k]
-    return sum(a * b for a, b in zip(chans, chans[1:])) * k_gen * k_gen
+    layers of `width` channels -> c*k*k filter rows, each a k_gen x k_gen conv.
+    Summed in closed form, so a huge depth costs no memory."""
+    pairs = (affinity_channels * c * k * k if depth < 1 else
+             width * (affinity_channels + (depth - 1) * width + c * k * k))
+    return pairs * k_gen * k_gen
 
 
 def generator_macs(c: int, k: int, h: int, w: int, affinity_channels: int,
@@ -318,93 +320,69 @@ def mobilenet_v2(width: float, op: str = "depthwise") -> ArchSpec:
 
 # --- text form ---------------------------------------------------------------
 
-_HEADER_KEYS = ("width", "input", "head_embed", "classes",
-                "gen_affinity", "gen_depth", "gen_width", "gen_kernel")
-_BLOCK_KEYS = ("cin", "cout", "k", "stride", "expand", "op")
-# integer headers that take their default when absent
-_OPTIONAL_INTS = {name: ArchSpec.__dataclass_fields__[name].default
-                  for name in ("head_embed", "classes", "gen_affinity",
-                               "gen_depth", "gen_width", "gen_kernel")}
+def _dims(value: str) -> tuple[int, int, int]:
+    c, h, w = map(int, value.split("x"))
+    return c, h, w
 
 
-def _parse_int(value: str, what: str, where: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ArchError(f"{where}: {what} must be an integer, got {value!r}") from None
+def _body_op(value: str) -> str:
+    if value not in BODY_OPS:
+        raise ValueError(value)
+    return value
 
 
-def _parse_block(line: str, where: str) -> BlockSpec:
-    parts = line.split()
-    kind = parts[1] if len(parts) > 1 else ""
-    if kind not in BLOCK_KINDS:
-        raise ArchError(f"{where}: unknown block kind '{kind}'")
-    kv: dict[str, str] = {}
-    for tok in parts[2:]:
-        key, eq, value = tok.partition("=")
-        if not eq or key not in _BLOCK_KEYS:
-            raise ArchError(f"{where}: unexpected block field {tok!r}")
-        if key in kv:
-            raise ArchError(f"{where}: duplicate block field '{key}'")
-        kv[key] = value
-    for key in _BLOCK_KEYS:
-        if key not in kv:
-            raise ArchError(f"{where}: block is missing field '{key}'")
-    if kv["op"] not in BODY_OPS:
-        raise ArchError(f"{where}: op must be one of {BODY_OPS}, got '{kv['op']}'")
-    return BlockSpec(kind,
-                     _parse_int(kv["cin"], "cin", where),
-                     _parse_int(kv["cout"], "cout", where),
-                     _parse_int(kv["k"], "k", where),
-                     _parse_int(kv["stride"], "stride", where),
-                     _parse_int(kv["expand"], "expand", where),
-                     kv["op"])
+# key -> (reader, the form it accepts); block fields in BlockSpec's order
+_INT = (int, "an integer")
+_HEADERS = {"width": (float, "a number"), "input": (_dims, "CxHxW"),
+            **{name: _INT for name in ("head_embed", "classes", "gen_affinity",
+                                       "gen_depth", "gen_width", "gen_kernel")}}
+_BLOCK_FIELDS = {"cin": _INT, "cout": _INT, "k": _INT, "stride": _INT,
+                 "expand": _INT, "op": (_body_op, f"one of {BODY_OPS}")}
+
+
+def _read_fields(tokens: Sequence[str], table: dict, into: dict, where: str,
+                 what: str) -> dict:
+    """Read each `key=value` token into `into` through `table`, refusing a
+    key the table lacks, one `into` already holds or an unreadable value."""
+    for tok in tokens:
+        key, eq, value = (part.strip() for part in tok.partition("="))
+        if not eq or key not in table:
+            raise ArchError(f"{where}: unexpected {what} {tok!r}")
+        if key in into:
+            raise ArchError(f"{where}: duplicate {what} '{key}'")
+        read, form = table[key]
+        try:
+            into[key] = read(value)
+        except ValueError:
+            raise ArchError(f"{where}: {key} must be {form}, got {value!r}") from None
+    return into
 
 
 def parse_arch(text: str, source: str = "<string>") -> ArchSpec:
-    headers: dict[str, str] = {}
+    """Read the arch text form: `key=value` header lines and `block KIND
+    key=value ...` lines, in any order; blank and `#` lines are skipped."""
+    headers: dict = {}
     blocks: list[BlockSpec] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         where = f"{source}: line {lineno}"
         if not line or line.startswith("#"):
             continue
-        if line.startswith("block "):
-            blocks.append(_parse_block(line, where))
+        if not line.startswith("block "):
+            _read_fields([line], _HEADERS, headers, where, "header")
             continue
-        key, eq, value = line.partition("=")
-        key = key.strip()
-        if not eq or key not in _HEADER_KEYS:
-            raise ArchError(f"{where}: unknown header '{key}'")
-        if key in headers:
-            raise ArchError(f"{where}: duplicate header '{key}'")
-        if key == "input":
-            dims = value.strip().split("x")
-            if len(dims) != 3:
-                raise ArchError(f"{where}: input must be CxHxW, got {value!r}")
-        headers[key] = (value.strip(), where)
-
+        _, kind, *tokens = line.split()
+        if kind not in BLOCK_KINDS:
+            raise ArchError(f"{where}: unknown block kind '{kind}'")
+        fields = _read_fields(tokens, _BLOCK_FIELDS, {}, where, "block field")
+        for key in _BLOCK_FIELDS:
+            if key not in fields:
+                raise ArchError(f"{where}: block is missing field '{key}'")
+        blocks.append(BlockSpec(kind, *(fields[key] for key in _BLOCK_FIELDS)))
     for required in ("width", "input"):
         if required not in headers:
             raise ArchError(f"{source}: missing required header '{required}'")
-
-    def geti(key: str, default: int) -> int:
-        if key not in headers:
-            return default
-        value, where = headers[key]
-        return _parse_int(value, key, where)
-
-    wval, wwhere = headers["width"]
-    try:
-        width = float(wval)
-    except ValueError:
-        raise ArchError(f"{wwhere}: width must be a number, got {wval!r}") from None
-    ival, iwhere = headers["input"]
-    shape = tuple(_parse_int(d, "input dim", iwhere) for d in ival.split("x"))
-
-    return ArchSpec(width, shape, tuple(blocks),
-                    **{name: geti(name, default)
-                       for name, default in _OPTIONAL_INTS.items()})
+    return ArchSpec(headers.pop("width"), headers.pop("input"), tuple(blocks), **headers)
 
 
 def load_arch(path) -> ArchSpec:

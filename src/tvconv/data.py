@@ -210,17 +210,17 @@ def load_dataset(path) -> Dataset:
     labels = []
     for lineno, line in enumerate((src / "labels.txt").read_text().splitlines(), 1):
         try:
-            labels.append(int(line))
+            label = int(line)
         except ValueError:
             raise ValueError(f"{src / 'labels.txt'}:{lineno}: expected an "
                              f"integer label, got {line!r}") from None
-    labels = np.array(labels, dtype=np.int64)
+        if not 0 <= label < spec.classes:   # also keeps it inside int64
+            raise ValueError(f"{src / 'labels.txt'}: label {label} is outside "
+                             f"[0, {spec.classes})")
+        labels.append(label)
     if len(labels) != n:
         raise ValueError(f"{src / 'labels.txt'}: {len(labels)} labels for "
                          f"{n} images")
-    bad = labels[(labels < 0) | (labels >= spec.classes)]
-    if bad.size:
-        raise ValueError(f"{src / 'labels.txt'}: label {bad[0]} is outside "
-                         f"[0, {spec.classes})")
+    labels = np.array(labels, dtype=np.int64)
     nt = spec.n_train
     return Dataset(images[:nt], labels[:nt], images[nt:], labels[nt:], spec)

@@ -382,8 +382,10 @@ def load_model(path) -> LayoutModel:
     spec = report.spec_from_kv(ModelSpec, manifest, source, stages=_stages_parse)
     try:
         model = LayoutModel.create(replace(spec, affinity_init="constant"))
-    except (ValueError, MemoryError) as e:
+    except ValueError as e:
         raise ValueError(f"{source}: {e}") from e
+    except MemoryError as e:   # a list's MemoryError carries no text
+        raise ValueError(f"{source}: {str(e) or 'out of memory'}") from e
     model.spec = spec
     names = manifest.get("params", "").split(",")
     if names != list(model.params):

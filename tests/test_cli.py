@@ -68,6 +68,20 @@ def test_count_verbose_prints_the_table(tmp_path, capsys):
     assert table and table in out
 
 
+def test_count_prices_a_huge_generator_depth(tmp_path, capsys):
+    # The generator's weights are summed in closed form; a list of
+    # gen_depth + 2 channel counts once overflowed an index here.
+    arch_file = tmp_path / "arch.txt"
+    write_arch(arch_file)
+    depth = 99999999999999999999
+    arch_file.write_text(arch_file.read_text().replace("op=depthwise", "op=tvconv")
+                         .replace("input=", f"gen_depth={depth}\ninput="))
+    code, out, err = run_cli(["count", arch_file, "--out", tmp_path], capsys)
+    assert code == 0 and err == ""
+    # 64 * (4 affinity + (depth - 1) * 64 + 8 * 3 * 3 rows) * 3 * 3 taps * 16 * 16
+    assert "one_time_generation_macs=943718399999999999992332288\n" in out
+
+
 def test_count_missing_file_diagnostic(tmp_path, capsys):
     code, out, err = run_cli(["count", tmp_path / "nope.txt",
                               "--out", tmp_path], capsys)
@@ -601,6 +615,24 @@ def test_eval_on_a_manifest_asking_too_much_is_one_error_line(line, trained, tmp
     assert proc.returncode == 1
     assert proc.stderr.startswith(f"error: {manifest}: ")
     assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["eval", "train"])
+def test_textless_memory_error_is_named(command, trained, tmp_path, capsys,
+                                        monkeypatch):
+    # A Python list's MemoryError carries no text; its line once ended in ": ".
+    def refuse(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(models.LayoutModel, "create", refuse)
+    args = {"eval": ["--checkpoint", trained / "model", "--data", trained / "dataset"],
+            "train": [*TINY_DATA, *TINY_TRAIN]}[command]
+    code, out, err = run_cli([command, *args, "--out", tmp_path], capsys)
+    assert code == 1
+    assert err == {
+        "eval": f"error: {trained / 'model' / 'model.txt'}: out of memory\n",
+        "train": "error: out of memory with model.gen_width=4, "
+                 "model.stages=4:1:tvconv:2, model.stem=4\n"}[command]
 
 
 def test_console_script_target_is_cli_main():

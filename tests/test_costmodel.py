@@ -376,6 +376,37 @@ block inverted-residual cin=8 cout=16 k=3 stride=2 expand=6 op=depthwise
     assert spec == small_arch("depthwise")
 
 
+def test_parse_arch_does_not_depend_on_order():
+    # Headers anywhere, block fields in any order, extra spaces and comment
+    # lines all read as the canonical text: each field lands in BlockSpec's
+    # order, not the file's (the values differ, so a swap would show).
+    canonical = """\
+width=0.5
+input=3x32x32
+head_embed=128
+classes=10
+gen_affinity=2
+gen_depth=1
+gen_width=8
+gen_kernel=1
+block plain cin=3 cout=16 k=5 stride=2 expand=1 op=depthwise
+block inverted-residual cin=16 cout=24 k=3 stride=1 expand=6 op=tvconv
+"""
+    want = cm.parse_arch(canonical)
+    assert want.blocks[0] == BlockSpec("plain", 3, 16, 5, 2, 1, "depthwise")
+    lines = canonical.splitlines()
+    headers = [line for line in lines if not line.startswith("block")]
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        text = []
+        for line in lines[len(headers):]:
+            _, kind, *fields = line.split()
+            text += ["# a comment", "", "  ".join(["block", kind, *rng.permutation(fields)])]
+        for header in rng.permutation(headers):
+            text.insert(int(rng.integers(len(text) + 1)), f"  {header} ")
+        assert cm.parse_arch("\n".join(text)) == want
+
+
 def test_parse_arch_errors_name_the_line():
     with pytest.raises(ArchError, match="line 1"):
         cm.parse_arch("wdith=1.0\ninput=1x8x8\n")

@@ -257,11 +257,13 @@ def test_load_rejects_label_count_mismatch(tmp_path):
 def test_load_rejects_label_out_of_range(tmp_path):
     data.save_dataset(data.gen_layout_dataset(small_spec(classes=8)), tmp_path)
     labels = tmp_path / "labels.txt"
-    lines = labels.read_text().splitlines(keepends=True)
-    lines[3] = "99\n"
-    labels.write_text("".join(lines))
-    with pytest.raises(ValueError, match=r"labels\.txt: label 99 is outside \[0, 8\)"):
-        data.load_dataset(tmp_path)
+    good = labels.read_text().splitlines(keepends=True)
+    # the second is beyond int64, which once raised numpy's OverflowError
+    for bad in ("99", "99999999999999999999"):
+        labels.write_text("".join([*good[:3], f"{bad}\n", *good[4:]]))
+        with pytest.raises(ValueError,
+                           match=rf"labels\.txt: label {bad} is outside \[0, 8\)"):
+            data.load_dataset(tmp_path)
 
 
 def test_load_rejects_non_integer_label(tmp_path):
